@@ -232,7 +232,11 @@ def cmd_evolve(args) -> int:
         print("error: evolve needs --two-j and --initial", file=sys.stderr)
         return 2
     two_js = parse_int_list(cfg["two_j"])
-    p = parse_float_list(cfg.get("p", "0"))[0]
+    ps = parse_float_list(cfg.get("p", "0"))
+    if len(ps) != 1:
+        print("error: evolve takes a single --p value", file=sys.stderr)
+        return 2
+    p = ps[0]
     times = parse_time_grid(cfg.get("times", "lin:0:3:61"))
     out = cfg.get("out", "out")
     name, kw = parse_initial(cfg["initial"])
@@ -353,7 +357,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, sp.EigensolverError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

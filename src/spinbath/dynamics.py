@@ -4,6 +4,11 @@ slowing-down / critical-dynamics experiments.
 Propagation applies exp(t L_M) per sector through dense scaling-and-squaring
 (scipy expm), never a spectral decomposition: near coalescing pairs the
 eigenbasis is exponentially ill-conditioned while expm stays backward stable.
+The generator is a real matrix plus the scalar i h M, so each sector is
+propagated in real arithmetic and picks up the phase e^{i h M t} at the end.
+Each populated sector builds one real interval propagator per distinct
+output-interval length (lengths that differ only by float rounding count as
+one): a substepped expm, raised to the full interval by repeated squaring.
 """
 
 from __future__ import annotations
@@ -150,38 +155,65 @@ def _check_times(times) -> np.ndarray:
 # small for the highly non-normal sector generators near the triangular limits
 _EXPM_STEP_NORM = 4.0
 
+# interval lengths closer than this many float spacings of the last time share
+# one cached propagator, so the last-ulp scatter of np.linspace steps costs no
+# extra expm while genuinely different lengths (e.g. on log grids) stay apart
+_STEP_ULPS = 8
+
+
+def _grouped_steps(ts: np.ndarray) -> np.ndarray:
+    """Interval lengths t_i - t_{i-1} (with t_{-1} = 0), near-equal ones merged.
+
+    Walking the lengths in ascending order, a length within _STEP_ULPS float
+    spacings of t_max of the current group's smallest member takes that
+    member's value; any other length starts a new group.
+    """
+    steps = np.diff(ts, prepend=0.0)
+    tol = _STEP_ULPS * np.spacing(ts[-1])
+    grouped = steps.copy()
+    rep = None
+    for i in np.argsort(steps, kind="stable"):
+        if rep is None or steps[i] - rep > tol:
+            rep = steps[i]
+        grouped[i] = rep
+    return grouped
+
 
 def propagate(params: ModelParams, rho0: VectorizedDensityMatrix, times) -> list[VectorizedDensityMatrix]:
     """States exp(t L) rho0 at the requested times (nondecreasing, t >= 0).
 
-    Each populated sector is propagated with dense matrix exponentials,
-    internally substepped so that each exponential argument stays small; equal
-    steps reuse a cached exponential.
+    Every sector generator is L_M = R_M + i h M with R_M real, so
+    exp(t L_M) v = e^{i h M t} exp(t R_M) v and the whole propagation runs in
+    real arithmetic on the (n, 2) view of the complex sector vector.  Per
+    populated sector there is one real interval propagator per distinct
+    output-interval length dt: E = expm(R_M dt/k) with k substeps chosen so
+    that ||L_M|| dt/k <= _EXPM_STEP_NORM, raised to E^k by repeated squaring.
+    Lengths that differ by at most _STEP_ULPS float spacings of t_max (the
+    rounding scatter of np.linspace) count as one, so a uniform grid costs one
+    expm per sector.
     """
     ts = _check_times(times)
     if rho0.two_j != params.two_j:
         raise ValueError("size mismatch between params and rho0")
-    out = [rho0.copy() for _ in ts]
+    steps = _grouped_steps(ts)
+    out = [VectorizedDensityMatrix(rho0.two_j) for _ in ts]
     for M, v0 in rho0.sectors.items():
         op = build_sector(params, M)
-        A = op.to_dense()
+        # build_sector puts the sector's only imaginary part, h*M, on every diagonal entry
+        R = op.to_dense().real
         scale = op.scale()
         cache: dict[float, np.ndarray] = {}
-        v = np.asarray(v0, dtype=complex)
-        prev_t = 0.0
-        for i, t in enumerate(ts):
-            dt = t - prev_t
+        u = np.array(v0, dtype=complex).view(float).reshape(-1, 2)
+        for i, (t, dt) in enumerate(zip(ts, steps)):
             if dt > 0:
-                k = max(1, int(np.ceil(scale * dt / _EXPM_STEP_NORM)))
-                sub = dt / k
-                E = cache.get(sub)
-                if E is None:
-                    E = expm(A * sub)
-                    cache[sub] = E
-                for _ in range(k):
-                    v = E @ v
-                prev_t = t
-            out[i].sectors[M] = v.copy()
+                P = cache.get(dt)
+                if P is None:
+                    k = max(1, int(np.ceil(scale * dt / _EXPM_STEP_NORM)))
+                    P = np.linalg.matrix_power(expm(R * (dt / k)), k)
+                    cache[dt] = P
+                u = P @ u
+            v = u.view(complex).ravel()
+            out[i].sectors[M] = v * np.exp(1j * params.h * M * t) if M else v.copy()
     return out
 
 
@@ -231,11 +263,15 @@ def expectation(rho: VectorizedDensityMatrix, which: str) -> float:
 def entropy(rho: VectorizedDensityMatrix) -> float:
     """Von Neumann entropy -Tr[rho ln rho] of the reconstructed matrix.
 
-    Eigenvalues in [-1e-10, 0) are clipped to zero (roundoff); anything below
-    -1e-8 signals genuine positivity loss and raises.
+    Eigenvalues in [-1e-8, 0) are clipped to zero (roundoff); anything below
+    -1e-8 signals genuine positivity loss and raises.  A state that holds only
+    the M = 0 sector is diagonal, and its eigenvalues are the populations.
     """
-    dense = rho.to_dense()
-    w = np.linalg.eigvalsh(0.5 * (dense + dense.conj().T))
+    if rho.sectors.keys() == {0}:
+        w = rho.sectors[0].real
+    else:
+        dense = rho.to_dense()
+        w = np.linalg.eigvalsh(0.5 * (dense + dense.conj().T))
     if w.min() < -1e-8:
         raise PositivityError(f"negative eigenvalue {w.min():.3e} in density matrix")
     w = np.clip(w, 0.0, None)

@@ -9,6 +9,7 @@ Liouville space splits into sectors labelled by the integer M.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,9 @@ class ModelParams:
     def __post_init__(self):
         if not isinstance(self.two_j, (int, np.integer)) or self.two_j < 1:
             raise ValueError(f"two_j must be a positive integer, got {self.two_j!r}")
+        for name in ("h", "gamma", "gamma0", "p"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.gamma > 0:
             raise ValueError(f"gamma must be positive, got {self.gamma}")
         if self.gamma0 < 0:

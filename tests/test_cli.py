@@ -90,6 +90,29 @@ def test_spectrum_empty_sweep_is_usage_error():
     assert rc == 2
 
 
+def test_non_finite_parameter_is_one_line_error(capsys, tmp_path):
+    rc = main(["spectrum", "--two-j", "4", "--p", "nan", "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc != 0
+    assert err.startswith("error:")
+    assert len(err.splitlines()) == 1
+
+
+def test_eigensolver_failure_is_one_line_error(capsys, monkeypatch, tmp_path):
+    import spinbath.cli as cli
+    from spinbath.spectra import EigensolverError
+
+    def failing(op):
+        raise EigensolverError("no convergence", two_j=4, M=op.sector.M)
+
+    monkeypatch.setattr(cli.sp, "diagonalize", failing)
+    rc = main(["spectrum", "--two-j", "4", "--p", "0.5", "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: no convergence")
+    assert len(err.splitlines()) == 1
+
+
 def test_scaling_command(tmp_path):
     # p = 0.2 keeps d1 above the double-precision floor across the sweep
     rc = main([
@@ -139,6 +162,18 @@ def test_evolve_btc_rejects_nonzero_p(tmp_path):
         "--out", str(tmp_path),
     ])
     assert rc == 1
+
+
+def test_evolve_rejects_p_list(tmp_path, capsys):
+    rc = main([
+        "evolve", "--two-j", "8", "--p", "0.3 0.6", "--initial", "fock:m=top",
+        "--out", str(tmp_path),
+    ])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error:")
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "traces.csv").exists()
 
 
 def test_evolve_entropy(tmp_path):

@@ -69,6 +69,39 @@ def test_entropy_examples():
         dyn.entropy(bad)
 
 
+def test_entropy_of_diagonal_state_matches_eigvalsh():
+    params = ModelParams(two_j=20, p=0.3)
+    for s in dyn.propagate(params, dyn.fock_state(20, 10.0), [0.5, 4.0, 30.0]):
+        dense = s.to_dense()
+        w = np.clip(np.linalg.eigvalsh(0.5 * (dense + dense.conj().T)), 0.0, None)
+        w = w[w > 0]
+        assert dyn.entropy(s) == pytest.approx(float(-np.sum(w * np.log(w))), abs=1e-14)
+
+
+def test_entropy_of_diagonal_state_positivity_rules():
+    state = dyn.VectorizedDensityMatrix(2, {0: np.array([-1e-7, 0.5, 0.5 + 1e-7], dtype=complex)})
+    with pytest.raises(dyn.PositivityError):
+        dyn.entropy(state)
+    # roundoff-sized negatives are clipped, as on the dense path
+    state.sectors[0] = np.array([-1e-9, 0.5, 0.5 + 1e-9], dtype=complex)
+    assert dyn.entropy(state) == pytest.approx(math.log(2), abs=1e-8)
+
+
+def test_propagate_one_expm_per_sector_on_uniform_grid(monkeypatch):
+    # np.linspace steps differ in the last ulp; they must share one exponential
+    calls = []
+    expm = dyn.expm
+
+    def counting(A):
+        calls.append(A.shape)
+        return expm(A)
+
+    monkeypatch.setattr(dyn, "expm", counting)
+    rho0 = dyn.coherent_state(10, 1.0, 0.3)
+    dyn.propagate(ModelParams(two_j=10, p=0.3, h=0.9), rho0, np.linspace(0, 3, 61))
+    assert len(calls) == len(rho0.sectors) == 21
+
+
 def test_propagate_fixes_steady_state():
     for p in (-0.7, 0.0, 0.5):
         params = ModelParams(two_j=12, p=p)

@@ -79,6 +79,13 @@ def test_params_validation(kwargs):
         ModelParams(**kwargs)
 
 
+@pytest.mark.parametrize("name", ["h", "gamma", "gamma0", "p"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_params_reject_non_finite(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        ModelParams(two_j=2, **{name: value})
+
+
 def test_params_dimensions():
     params = ModelParams(two_j=5)
     assert params.j == 2.5
