@@ -26,7 +26,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .liouvillian import build_sector
-from .model import ModelParams, sector_basis
+from .model import ModelParams, ladder_coeff, sector_basis
 
 __all__ = [
     "TriangularSolution",
@@ -94,10 +94,10 @@ def triangular_solution(params: ModelParams, M: int) -> TriangularSolution:
         partner = M - m + params.p
         if sec.m_min - 1e-9 <= partner <= sec.m_max + 1e-9 and abs(partner - m) > 1e-9:
             pairing[float(m)] = float(partner)
-        elif abs(partner - m) <= 1e-9:
-            exceptions.append(float(m))  # fixed point: odd-M lowest eigenvalue
         else:
-            exceptions.append(float(m))  # falls outside the sector: extremal state
+            # a fixed point (odd-M lowest eigenvalue) or a partner outside the
+            # sector (extremal state)
+            exceptions.append(float(m))
     return TriangularSolution(
         M=M, p=params.p, m_labels=ms, eigenvalues=lams, pairing=pairing, exceptions=exceptions
     )
@@ -231,7 +231,7 @@ def _observable_matrix(params: ModelParams, observable) -> np.ndarray:
         if name == "jz":
             return np.diag(ms).astype(complex)
         Jp = np.zeros((N, N), dtype=complex)
-        Jp[np.arange(1, N), np.arange(N - 1)] = np.sqrt(j * (j + 1) - ms[:-1] * (ms[:-1] + 1))
+        Jp[np.arange(1, N), np.arange(N - 1)] = ladder_coeff(j, ms[:-1], "raise")
         if name == "jx":
             return (Jp + Jp.conj().T) / 2
         if name == "jy":
@@ -426,11 +426,8 @@ def thermal_ss(params: ModelParams) -> ThermalSS:
         return ThermalSS(beta=None, Z=1.0, jz=(-j if p > 0 else j), coefficients=coef, alpha=(0.0 if p > 0 else np.inf))
     alpha = (1 - p) / (1 + p)
     # weights alpha^(m+j), stably normalized through logs for large j
-    expo = np.arange(N) * (math.log(alpha) if alpha > 0 else 0.0)
-    if p == 0:
-        w = np.ones(N)
-    else:
-        w = np.exp(expo - expo.max())
+    expo = np.arange(N) * math.log(alpha)
+    w = np.exp(expo - expo.max())
     Zshift = w.sum()
     coef = w / Zshift
     ms = -j + np.arange(N)
@@ -450,7 +447,7 @@ def thermal_ss(params: ModelParams) -> ThermalSS:
     else:
         beta = None
         with np.errstate(over="ignore"):
-            Z = float(np.sum(np.exp(expo))) if alpha > 0 else float(N)
+            Z = float(np.sum(np.exp(expo)))
     return ThermalSS(beta=beta, Z=float(Z), jz=jz, coefficients=coef, alpha=alpha)
 
 

@@ -18,9 +18,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import expm
 
-from .closed_forms import hp_states, thermal_ss
+from .closed_forms import _lfact, hp_states, thermal_ss
 from .liouvillian import build_sector
-from .model import ModelParams
+from .model import ModelParams, ladder_coeff
 
 __all__ = [
     "VectorizedDensityMatrix",
@@ -86,18 +86,12 @@ class VectorizedDensityMatrix:
         return rho
 
     @classmethod
-    def from_dense(cls, two_j: int, rho: np.ndarray, prune: float = 0.0) -> "VectorizedDensityMatrix":
+    def from_dense(cls, two_j: int, rho: np.ndarray) -> "VectorizedDensityMatrix":
         N = two_j + 1
         rho = np.asarray(rho, dtype=complex)
         if rho.shape != (N, N):
             raise ValueError(f"expected {N}x{N} matrix, got {rho.shape}")
-        sectors = {}
-        for M in range(-two_j, two_j + 1):
-            v = np.diagonal(rho, offset=-M).copy()
-            if prune and np.abs(v).max(initial=0.0) <= prune:
-                continue
-            sectors[M] = v
-        return cls(two_j, sectors)
+        return cls(two_j, {M: np.diagonal(rho, offset=-M).copy() for M in range(-two_j, two_j + 1)})
 
 
 def fock_state(two_j: int, m: float) -> VectorizedDensityMatrix:
@@ -123,21 +117,13 @@ def coherent_state(two_j: int, theta: float, phi: float) -> VectorizedDensityMat
     """
     N = two_j + 1
     k = np.arange(N)  # k = m + j
-    logc = 0.5 * (
-        np.array([_log_binom(two_j, int(kk)) for kk in k])
-    )
+    logc = 0.5 * np.array([_lfact(two_j) - _lfact(int(kk)) - _lfact(two_j - int(kk)) for kk in k])
     with np.errstate(divide="ignore"):
         amp = np.exp(logc) * np.cos(theta / 2) ** k * np.sin(theta / 2) ** (two_j - k)
     c = amp * np.exp(-1j * (two_j - k) * phi)
     c = c / np.linalg.norm(c)
     rho = np.outer(c, c.conj())
     return VectorizedDensityMatrix.from_dense(two_j, rho)
-
-
-def _log_binom(n: int, k: int) -> float:
-    import math
-
-    return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
 
 
 def _check_times(times) -> np.ndarray:
@@ -241,11 +227,11 @@ def expectation(rho: VectorizedDensityMatrix, which: str) -> float:
         if vp is not None:
             m_min = max(-j, -j + 1)
             ms = m_min + np.arange(len(vp))
-            jminus = complex(np.sum(vp * np.sqrt(j * (j + 1) - ms * (ms - 1))))
+            jminus = complex(np.sum(vp * ladder_coeff(j, ms, "lower")))
         else:
             m_min = -j
             ms = m_min + np.arange(len(vm))
-            jminus = complex(np.conj(np.sum(vm * np.sqrt(j * (j + 1) - ms * (ms + 1)))))
+            jminus = complex(np.conj(np.sum(vm * ladder_coeff(j, ms, "raise"))))
         val = complex(jminus.real) if name == "jx" else complex(-jminus.imag)
     elif name.startswith("pop:"):
         m = float(name.split(":", 1)[1])

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams, SectorIndex, sector_basis
+from .model import ModelParams, SectorIndex, ladder_coeff, sector_basis
 
 __all__ = [
     "SectorOperator",
@@ -26,14 +26,6 @@ __all__ = [
 ]
 
 BRUTEFORCE_MAX_HILBERT_DIM = 64
-
-
-def _ladder_up(j: float, m: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.maximum(j * (j + 1) - m * (m + 1), 0.0))
-
-
-def _ladder_down(j: float, m: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.maximum(j * (j + 1) - m * (m - 1), 0.0))
 
 
 @dataclass(frozen=True)
@@ -91,9 +83,9 @@ def build_sector(params: ModelParams, M: int) -> SectorOperator:
     ).astype(complex)
     if sec.dim > 1:
         src_up = ms[:-1]
-        upper = (G / j) * (1 - p) / 2 * _ladder_up(j, src_up) * _ladder_up(j, src_up - M)
+        upper = (G / j) * (1 - p) / 2 * ladder_coeff(j, src_up, "raise") * ladder_coeff(j, src_up - M, "raise")
         src_dn = ms[1:]
-        lower = (G / j) * (1 + p) / 2 * _ladder_down(j, src_dn) * _ladder_down(j, src_dn - M)
+        lower = (G / j) * (1 + p) / 2 * ladder_coeff(j, src_dn, "lower") * ladder_coeff(j, src_dn - M, "lower")
     else:
         upper = np.zeros(0)
         lower = np.zeros(0)
@@ -150,7 +142,7 @@ def build_bruteforce(params: ModelParams) -> FullLiouvillian:
     ms = -j + np.arange(N)
     Jz = np.diag(ms).astype(complex)
     Jp = np.zeros((N, N), dtype=complex)
-    Jp[np.arange(1, N), np.arange(N - 1)] = _ladder_up(j, ms[:-1])
+    Jp[np.arange(1, N), np.arange(N - 1)] = ladder_coeff(j, ms[:-1], "raise")
     Jm = Jp.conj().T
     H = -h * Jz
     eye = np.eye(N)

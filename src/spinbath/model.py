@@ -67,10 +67,12 @@ class SectorIndex:
         return self.m_min + np.arange(self.dim)
 
 
-def ladder_coeff(j: float, m: float, direction: str) -> float:
+def ladder_coeff(j: float, m, direction: str):
     """Matrix element sqrt(j(j+1) - m(m+-1)) of the raising/lowering operator.
 
-    direction "raise" gives <m+1|J+|m>, "lower" gives <m-1|J-|m>.
+    direction "raise" gives <m+1|J+|m>, "lower" gives <m-1|J-|m>.  m may be a
+    scalar or an array (elementwise result of the same shape); every element
+    must satisfy |m| <= j.  Stepping off a ladder end gives exactly 0.
     """
     if direction == "raise":
         target = m + 1
@@ -78,13 +80,10 @@ def ladder_coeff(j: float, m: float, direction: str) -> float:
         target = m - 1
     else:
         raise ValueError(f"direction must be 'raise' or 'lower', got {direction!r}")
-    if abs(m) > j:
+    if (np.abs(m) > j).any():
         raise ValueError(f"m={m} out of range for j={j}")
-    if abs(target) > j:
-        return 0.0  # stepping off the ladder end: zero matrix element
-    val = j * (j + 1) - m * target
-    # exact zero at the ladder ends despite rounding
-    return float(np.sqrt(max(val, 0.0)))
+    # the radicand is exactly 0 at the ladder ends; the clamp only absorbs rounding
+    return np.sqrt(np.maximum(j * (j + 1) - m * target, 0.0))
 
 
 def sector_basis(params: ModelParams, M: int) -> SectorIndex:

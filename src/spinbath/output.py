@@ -164,8 +164,8 @@ def _svg_frame(width, height, pad, box, xlabel, ylabel, title):
     return parts
 
 
-def svg_scatter(path, groups, xlabel="", ylabel="", title="", width=640, height=480):
-    """Scatter plot; groups is a list of (label, xs, ys) drawn in color order."""
+def _svg_plot(path, groups, marks, xlabel, ylabel, title, width, height):
+    """Framed plot with a legend; marks(xs, ys, sx, sy, color) draws one group."""
     pad = 48
     all_x = np.concatenate([np.asarray(g[1], float) for g in groups if len(g[1])])
     all_y = np.concatenate([np.asarray(g[2], float) for g in groups if len(g[2])])
@@ -173,8 +173,7 @@ def svg_scatter(path, groups, xlabel="", ylabel="", title="", width=640, height=
     parts = _svg_frame(width, height, pad, box, xlabel, ylabel, title)
     for gi, (label, xs, ys) in enumerate(groups):
         color = _SVG_COLORS[gi % len(_SVG_COLORS)]
-        for x, y in zip(xs, ys):
-            parts.append(f'<circle cx="{sx(x):.2f}" cy="{sy(y):.2f}" r="2.2" fill="{color}" fill-opacity="0.75"/>')
+        parts.extend(marks(xs, ys, sx, sy, color))
         parts.append(
             f'<text x="{width-pad-6}" y="{pad+14+14*gi}" text-anchor="end" font-size="11" '
             f'fill="{color}">{label}</text>'
@@ -184,25 +183,23 @@ def svg_scatter(path, groups, xlabel="", ylabel="", title="", width=640, height=
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(parts) + "\n")
     return path
+
+
+def _circles(xs, ys, sx, sy, color):
+    return [f'<circle cx="{sx(x):.2f}" cy="{sy(y):.2f}" r="2.2" fill="{color}" fill-opacity="0.75"/>'
+            for x, y in zip(xs, ys)]
+
+
+def _polyline(xs, ys, sx, sy, color):
+    pts = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(xs, ys))
+    return [f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>']
+
+
+def svg_scatter(path, groups, xlabel="", ylabel="", title="", width=640, height=480):
+    """Scatter plot; groups is a list of (label, xs, ys) drawn in color order."""
+    return _svg_plot(path, groups, _circles, xlabel, ylabel, title, width, height)
 
 
 def svg_lines(path, groups, xlabel="", ylabel="", title="", width=640, height=480):
     """Polyline plot; groups is a list of (label, xs, ys)."""
-    pad = 48
-    all_x = np.concatenate([np.asarray(g[1], float) for g in groups if len(g[1])])
-    all_y = np.concatenate([np.asarray(g[2], float) for g in groups if len(g[2])])
-    sx, sy, box = _axes(all_x, all_y, width, height, pad)
-    parts = _svg_frame(width, height, pad, box, xlabel, ylabel, title)
-    for gi, (label, xs, ys) in enumerate(groups):
-        color = _SVG_COLORS[gi % len(_SVG_COLORS)]
-        pts = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(xs, ys))
-        parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>')
-        parts.append(
-            f'<text x="{width-pad-6}" y="{pad+14+14*gi}" text-anchor="end" font-size="11" '
-            f'fill="{color}">{label}</text>'
-        )
-    parts.append("</svg>")
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(parts) + "\n")
-    return path
+    return _svg_plot(path, groups, _polyline, xlabel, ylabel, title, width, height)

@@ -115,7 +115,9 @@ def eigenvalues_only(op: SectorOperator) -> np.ndarray:
     """Sector spectrum (descending real part) without eigenvectors.
 
     Uses the similarity to a real symmetric tridiagonal for |p| < 1; at the
-    triangular limits the spectrum is the diagonal itself.
+    triangular limits the spectrum is the diagonal itself.  Bands that are
+    neither same-signed nor one-sided (never built by build_sector) raise
+    EigensolverError.
     """
     n = op.dim
     shift = 1j * op.diag[0].imag
@@ -129,10 +131,9 @@ def eigenvalues_only(op: SectorOperator) -> np.ndarray:
         return w + shift
     if np.all(np.abs(op.upper) == 0) or np.all(np.abs(op.lower) == 0):
         return np.sort(op.diag.real)[::-1] + shift
-    # mixed-sign couplings cannot occur for this model; fall back to QR
-    A = op.to_dense()
-    w = np.linalg.eigvals(A)
-    return w[_order(w)]
+    # mixed-sign couplings: the symmetrization above does not apply
+    sec = op.sector
+    raise EigensolverError("off-diagonal bands of mixed sign", two_j=sec.dim - 1 + abs(sec.M), M=sec.M)
 
 
 def _inverse_iteration(op: SectorOperator, lams: np.ndarray) -> np.ndarray:
@@ -239,8 +240,6 @@ def ep_scan(dec: SpectralDecomposition, gamma_bound: float) -> EPScanResult:
     paired: list[tuple[int, int]] = []
     for n in range(1, (dec.dim - 1) // 2 + 1):
         N = 2 * n - 1
-        if N >= len(d):
-            break
         if d[N] < gamma_bound:
             paired.append((N, N + 1))
         else:

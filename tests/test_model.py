@@ -91,3 +91,22 @@ def test_params_dimensions():
     assert params.j == 2.5
     assert params.hilbert_dim == 6
     assert params.liouville_dim == 36
+
+
+def test_ladder_array_ends_vanish_exactly():
+    for two_j in (1, 2, 7, 80):
+        j = two_j / 2
+        ms = -j + np.arange(two_j + 1)
+        up = ladder_coeff(j, ms, "raise")
+        down = ladder_coeff(j, ms, "lower")
+        assert up.shape == down.shape == ms.shape
+        assert up[-1] == 0.0 and down[0] == 0.0
+        assert np.all(up[:-1] > 0) and np.all(down[1:] > 0)
+    assert ladder_coeff(1.0, np.array([-1.0, 0.0, 1.0]), "raise")[1] == pytest.approx(math.sqrt(2), abs=1e-15)
+
+
+def test_ladder_array_out_of_range_raises():
+    with pytest.raises(ValueError, match="out of range"):
+        ladder_coeff(1.0, np.array([-1.0, 0.0, 1.5]), "raise")
+    with pytest.raises(ValueError, match="out of range"):
+        ladder_coeff(1.0, np.array([-2.0, 0.0]), "lower")

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from spinbath import spectra as sp
-from spinbath.liouvillian import build_sector
-from spinbath.model import ModelParams
+from spinbath.liouvillian import SectorOperator, build_sector
+from spinbath.model import ModelParams, sector_basis
 from spinbath.verification import multiset_match_error
 
 
@@ -223,3 +223,17 @@ def test_near_defective_flagging():
     dec = dec_for(60, 0.5)
     flagged = dec.near_defective_pairs()
     assert 1 in flagged  # first doublet is numerically coalesced at j=30
+
+
+def test_eigenvalues_only_rejects_mixed_sign_bands():
+    sec = sector_basis(ModelParams(two_j=4), 0)
+    op = SectorOperator(
+        sector=sec,
+        diag=-np.arange(1.0, 6.0).astype(complex),
+        upper=np.ones(4, dtype=complex),
+        lower=np.array([1.0, -1.0, 1.0, 1.0], dtype=complex),
+    )
+    with pytest.raises(sp.EigensolverError, match="mixed sign"):
+        sp.eigenvalues_only(op)
+    with pytest.raises(sp.EigensolverError):
+        sp.diagonalize(op)
