@@ -4,11 +4,14 @@ Every sector operator is a real tridiagonal matrix plus the constant imaginary
 shift i*h*M, and for |p| < 1 both off-diagonal bands are strictly positive.
 Such a matrix is diagonally similar to a real symmetric tridiagonal one, so the
 spectrum is {real value + i h M} exactly and is obtained, fully converged, from
-the symmetric eigenproblem.  Eigenvectors come from inverse iteration on the
-original tridiagonal; near a coalesced pair both shifts converge onto the
-common direction, which is precisely the physics the eigenvector distance d_N
-is meant to capture.  A dense QR path (numpy.linalg.eig) is kept for
-cross-validation at small j, where it is reliable.
+the symmetric eigenproblem.  Because every diagonal entry and every eigenvalue
+carry the same i*h*M, the shifted operator L - lambda is exactly real, and
+each eigenvector is one real LAPACK tridiagonal solve (dgtsv) of the original
+bands, i.e. a single inverse-iteration step from a fixed start vector.  Near a
+coalesced pair both shifts land on the common direction, which is precisely
+the physics the eigenvector distance d_N is meant to capture.  A dense QR path
+(numpy.linalg.eig) is kept for cross-validation at small j, where it is
+reliable.
 """
 
 from __future__ import annotations
@@ -17,7 +20,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigvalsh_tridiagonal, solve_banded
+from scipy.linalg import eigvalsh_tridiagonal
+from scipy.linalg.lapack import dgtsv
 
 from .liouvillian import SectorOperator, build_sector
 
@@ -44,7 +48,6 @@ __all__ = [
 DISTANCE_FLOOR = 1e-12
 
 _INV_ITER_SEED = 12345
-_INV_ITER_STEPS = 4
 
 
 class EigensolverError(RuntimeError):
@@ -56,12 +59,19 @@ class EigensolverError(RuntimeError):
         self.M = M
 
 
+def _sector_error(message: str, sec) -> EigensolverError:
+    return EigensolverError(message, two_j=sec.dim - 1 + abs(sec.M), M=sec.M)
+
+
 @dataclass(frozen=True)
 class SpectralDecomposition:
     """Ordered spectrum of one sector with unit-norm right eigenvectors.
 
     eigenvalues are sorted by descending real part, ties by ascending
-    imaginary part; right_eigenvectors[:, N] belongs to eigenvalues[N].
+    imaginary part; right_eigenvectors[:, N] belongs to eigenvalues[N], with
+    its largest component positive.  method "auto" gives real (float64)
+    eigenvectors, "qr" complex ones.  residual_norms[N] is
+    ||L v_N - lambda_N v_N||, recomputed from the operator's bands.
     """
 
     sector: "object"
@@ -132,51 +142,67 @@ def eigenvalues_only(op: SectorOperator) -> np.ndarray:
     if np.all(np.abs(op.upper) == 0) or np.all(np.abs(op.lower) == 0):
         return np.sort(op.diag.real)[::-1] + shift
     # mixed-sign couplings: the symmetrization above does not apply
-    sec = op.sector
-    raise EigensolverError("off-diagonal bands of mixed sign", two_j=sec.dim - 1 + abs(sec.M), M=sec.M)
+    raise _sector_error("off-diagonal bands of mixed sign", op.sector)
 
 
 def _inverse_iteration(op: SectorOperator, lams: np.ndarray) -> np.ndarray:
-    """Unit right eigenvectors by shifted inverse iteration on the bands.
+    """Real unit right eigenvectors, one LAPACK tridiagonal solve per eigenvalue.
 
-    The iterate is renormalized by its max element: the resolvent of this
-    highly non-normal family can exceed the double range in 2-norm.
+    Every diagonal entry carries the same i*h*M as every eigenvalue, so the
+    shifted band op.diag - lam is exactly real and so are the eigenvectors.
+    Each column is a single dgtsv solve from one fixed start vector scaled by
+    2^-1000, which keeps the resolvent of this highly non-normal family
+    inside the double range.  An exactly singular shift (info > 0) is solved
+    once more with the diagonal nudged by 1e-13 * scale; a second singular
+    pivot, or a column that overflows or vanishes, raises EigensolverError.
     """
     n = op.dim
-    rng = np.random.default_rng(_INV_ITER_SEED)
-    v0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    v0 /= np.abs(v0).max()
-    scale = op.scale()
-    V = np.empty((n, len(lams)), dtype=complex)
-    for idx, lam in enumerate(lams):
-        ab = np.zeros((3, n), dtype=complex)
-        ab[0, 1:] = op.lower
-        ab[1, :] = op.diag - lam
-        ab[2, :-1] = op.upper
-        v = v0.copy()
-        for _ in range(_INV_ITER_STEPS):
-            try:
-                w = solve_banded((1, 1), ab, v, check_finite=False)
-            except Exception:
-                # exactly singular shift: nudge off the eigenvalue
-                ab[1, :] = op.diag - lam + 1e-13 * scale
-                w = solve_banded((1, 1), ab, v, check_finite=False)
-            w = np.where(np.isfinite(w), w, 0.0)
-            mx = np.abs(w).max()
-            if mx == 0.0:
-                break
-            v = w / mx
-        v = v / np.linalg.norm(v)
-        k = int(np.argmax(np.abs(v)))
-        V[:, idx] = v * (abs(v[k]) / v[k])
+    v0 = np.random.default_rng(_INV_ITER_SEED).standard_normal(n)
+    b = (v0 / np.abs(v0).max() * 2.0**-1000)[:, None]
+    # dgtsv takes the sub-, main and superdiagonal; op.upper lies below the diagonal
+    sub, diag, sup = op.upper.real, op.diag.real, op.lower.real
+    nudge = 1e-13 * op.scale()
+    V = np.empty((n, len(lams)))
+    for idx, lam in enumerate(lams.real):
+        _, _, _, x, info = dgtsv(sub, diag - lam, sup, b)
+        if info > 0:
+            # exactly singular shift: nudge off the eigenvalue
+            _, _, _, x, info = dgtsv(sub, diag - lam + nudge, sup, b)
+        if info > 0:
+            raise _sector_error(f"singular shift at eigenvalue {idx}", op.sector)
+        V[:, idx] = x[:, 0]
+    hi, lo = V.max(axis=0), -V.min(axis=0)
+    mx = np.maximum(hi, lo)
+    bad = ~np.isfinite(mx) | (mx == 0.0)
+    if bad.any():
+        raise _sector_error(f"{int(bad.sum())} eigenvector solves overflowed or vanished", op.sector)
+    # largest component of each column becomes +1, then unit 2-norm
+    V *= np.where(hi >= lo, 1.0, -1.0) / mx
+    V /= np.sqrt(np.einsum("ij,ij->j", V, V))
     return V
+
+
+def _residual_norms(op: SectorOperator, w: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """||L v_k - w_k v_k|| for every column k, as one banded matvec on V.
+
+    Real V comes from the auto path, where op.diag - w_k is exactly real, so
+    the real parts of the bands and eigenvalues give the full residual.
+    """
+    diag, sub, sup = op.diag, op.upper, op.lower
+    if not np.iscomplexobj(V):
+        diag, sub, sup, w = diag.real, sub.real, sup.real, w.real
+    R = (diag[:, None] - w) * V
+    R[1:] += sub[:, None] * V[:-1]
+    R[:-1] += sup[:, None] * V[1:]
+    return np.linalg.norm(R, axis=0)
 
 
 def diagonalize(op: SectorOperator, method: str = "auto") -> SpectralDecomposition:
     """Full spectral decomposition of a sector operator.
 
     method "auto" exploits the exact symmetrizability of the bands (see module
-    docstring); "qr" forces the dense general solver.
+    docstring) and returns real eigenvectors; "qr" forces the dense general
+    solver and returns complex ones.
     """
     if op.dim < 1:
         raise ValueError("empty sector operator")
@@ -195,18 +221,14 @@ def diagonalize(op: SectorOperator, method: str = "auto") -> SpectralDecompositi
             V = V * (np.abs(phases) / phases)[None, :]
         else:
             w = eigenvalues_only(op)
-            V = _inverse_iteration(op, w) if op.dim > 1 else np.ones((1, 1), complex)
+            V = _inverse_iteration(op, w) if op.dim > 1 else np.ones((1, 1))
     except np.linalg.LinAlgError as exc:
-        raise EigensolverError(str(exc), two_j=sec.dim - 1 + abs(sec.M), M=sec.M) from exc
-    res = np.linalg.norm(
-        np.stack([op.matvec(V[:, k]) - w[k] * V[:, k] for k in range(op.dim)], axis=1),
-        axis=0,
-    )
+        raise _sector_error(str(exc), sec) from exc
     return SpectralDecomposition(
         sector=sec,
         eigenvalues=w,
         right_eigenvectors=V,
-        residual_norms=res,
+        residual_norms=_residual_norms(op, w, V),
         operator_scale=op.scale(),
         method=method,
     )

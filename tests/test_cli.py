@@ -113,6 +113,15 @@ def test_eigensolver_failure_is_one_line_error(capsys, monkeypatch, tmp_path):
     assert len(err.splitlines()) == 1
 
 
+def test_eigenvector_overflow_is_one_line_error(capsys, tmp_path):
+    rc = main(["scaling", "--two-j", "1280", "--p", "0.999", "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error:")
+    assert "two_j=1280, M=0" in err
+    assert len(err.splitlines()) == 1
+
+
 def test_scaling_command(tmp_path):
     # p = 0.2 keeps d1 above the double-precision floor across the sweep
     rc = main([

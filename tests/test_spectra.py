@@ -27,6 +27,7 @@ def test_scalar_sector():
     op = build_sector(ModelParams(two_j=5, p=0.2), 5)
     dec = sp.diagonalize(op)
     assert dec.dim == 1
+    assert dec.right_eigenvectors.dtype == np.float64
     assert dec.eigenvalues[0] == pytest.approx(op.diag[0])
 
 
@@ -36,9 +37,39 @@ def test_ordering_descending_real():
 
 
 def test_residual_invariant():
-    for p, M in ((0.5, 0), (0.0, 3), (1.0, 0), (-0.8, -2)):
-        dec = dec_for(40, p, M)
+    # in the two large sectors the resolvent nears the double range: a solve
+    # from an unscaled start, or a repeated solve, overflows or loses accuracy
+    for two_j, p, M in ((40, 0.5, 0), (40, 0.0, 3), (40, 1.0, 0), (40, -0.8, -2), (640, 0.999, 0), (1280, 0.7, 0)):
+        dec = dec_for(two_j, p, M)
+        assert np.all(np.isfinite(dec.right_eigenvectors))
         assert dec.residual_norms.max() <= 1e-8 * dec.operator_scale
+
+
+@pytest.mark.parametrize("method", ["auto", "qr"])
+def test_residual_norms_match_per_column_definition(method):
+    for p, M in ((0.5, 0), (0.0, 3), (1.0, 0), (-0.8, -2), (0.5, 7)):
+        op = build_sector(ModelParams(two_j=40, p=p), M)
+        dec = sp.diagonalize(op, method=method)
+        V, w = dec.right_eigenvectors, dec.eigenvalues
+        assert V.dtype == (np.float64 if method == "auto" else np.complex128)
+        direct = [np.linalg.norm(op.matvec(V[:, k]) - w[k] * V[:, k]) for k in range(dec.dim)]
+        assert np.abs(dec.residual_norms - direct).max() <= 1e-14 * dec.operator_scale
+
+
+def test_repeated_singular_solve_raises(monkeypatch):
+    # info > 0 even after the nudge: the sector fails instead of returning a zero column
+    def singular(dl, d, du, b):
+        return dl, d, du, b, 1
+
+    monkeypatch.setattr(sp, "dgtsv", singular)
+    with pytest.raises(sp.EigensolverError, match=r"singular shift .*two_j=8, M=2"):
+        dec_for(8, 0.5, 2)
+
+
+def test_eigenvector_overflow_raises():
+    # at p = 0.999, 2j = 1280 one solve of the resolvent exceeds the double range
+    with pytest.raises(sp.EigensolverError, match=r"two_j=1280, M=0"):
+        dec_for(1280, 0.999)
 
 
 def test_structured_matches_qr_at_small_j():
