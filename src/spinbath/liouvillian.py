@@ -55,10 +55,14 @@ class SectorOperator:
         return A
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        out = self.diag * v
+        """L v for a vector v, or for every column of an (n, k) block v."""
+        diag, upper, lower = self.diag, self.upper, self.lower
+        if v.ndim == 2:
+            diag, upper, lower = diag[:, None], upper[:, None], lower[:, None]
+        out = diag * v
         if self.dim > 1:
-            out[1:] += self.upper * v[:-1]
-            out[:-1] += self.lower * v[1:]
+            out[1:] += upper * v[:-1]
+            out[:-1] += lower * v[1:]
         return out
 
     def scale(self) -> float:

@@ -150,24 +150,26 @@ def _inverse_iteration(op: SectorOperator, lams: np.ndarray) -> np.ndarray:
 
     Every diagonal entry carries the same i*h*M as every eigenvalue, so the
     shifted band op.diag - lam is exactly real and so are the eigenvectors.
-    Each column is a single dgtsv solve from one fixed start vector scaled by
-    2^-1000, which keeps the resolvent of this highly non-normal family
-    inside the double range.  An exactly singular shift (info > 0) is solved
-    once more with the diagonal nudged by 1e-13 * scale; a second singular
-    pivot, or a column that overflows or vanishes, raises EigensolverError.
+    Each column is a single dgtsv solve, on the bands divided by op.scale(),
+    from one fixed start vector scaled by 2^-1000.  That start keeps the
+    resolvent of this highly non-normal family inside the double range, and
+    the division makes this window independent of gamma.  An exactly singular
+    shift (info > 0) is solved once more with the diagonal nudged by 1e-13
+    (relative to the scale); a second singular pivot, or a column that
+    overflows or vanishes, raises EigensolverError.
     """
     n = op.dim
     v0 = np.random.default_rng(_INV_ITER_SEED).standard_normal(n)
     b = (v0 / np.abs(v0).max() * 2.0**-1000)[:, None]
     # dgtsv takes the sub-, main and superdiagonal; op.upper lies below the diagonal
-    sub, diag, sup = op.upper.real, op.diag.real, op.lower.real
-    nudge = 1e-13 * op.scale()
+    scale = op.scale()
+    sub, diag, sup = op.upper.real / scale, op.diag.real / scale, op.lower.real / scale
     V = np.empty((n, len(lams)))
-    for idx, lam in enumerate(lams.real):
+    for idx, lam in enumerate(lams.real / scale):
         _, _, _, x, info = dgtsv(sub, diag - lam, sup, b)
         if info > 0:
             # exactly singular shift: nudge off the eigenvalue
-            _, _, _, x, info = dgtsv(sub, diag - lam + nudge, sup, b)
+            _, _, _, x, info = dgtsv(sub, diag - lam + 1e-13, sup, b)
         if info > 0:
             raise _sector_error(f"singular shift at eigenvalue {idx}", op.sector)
         V[:, idx] = x[:, 0]
@@ -180,21 +182,6 @@ def _inverse_iteration(op: SectorOperator, lams: np.ndarray) -> np.ndarray:
     V *= np.where(hi >= lo, 1.0, -1.0) / mx
     V /= np.sqrt(np.einsum("ij,ij->j", V, V))
     return V
-
-
-def _residual_norms(op: SectorOperator, w: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """||L v_k - w_k v_k|| for every column k, as one banded matvec on V.
-
-    Real V comes from the auto path, where op.diag - w_k is exactly real, so
-    the real parts of the bands and eigenvalues give the full residual.
-    """
-    diag, sub, sup = op.diag, op.upper, op.lower
-    if not np.iscomplexobj(V):
-        diag, sub, sup, w = diag.real, sub.real, sup.real, w.real
-    R = (diag[:, None] - w) * V
-    R[1:] += sub[:, None] * V[:-1]
-    R[:-1] += sup[:, None] * V[1:]
-    return np.linalg.norm(R, axis=0)
 
 
 def diagonalize(op: SectorOperator, method: str = "auto") -> SpectralDecomposition:
@@ -228,7 +215,7 @@ def diagonalize(op: SectorOperator, method: str = "auto") -> SpectralDecompositi
         sector=sec,
         eigenvalues=w,
         right_eigenvectors=V,
-        residual_norms=_residual_norms(op, w, V),
+        residual_norms=np.linalg.norm(op.matvec(V) - V * w, axis=0),
         operator_scale=op.scale(),
         method=method,
     )

@@ -66,6 +66,17 @@ def test_repeated_singular_solve_raises(monkeypatch):
         dec_for(8, 0.5, 2)
 
 
+def test_solve_window_does_not_depend_on_gamma():
+    # the resolvent goes as 1/gamma; a start vector not scaled with the operator
+    # overflows at tiny gamma and underflows to zero columns at huge gamma
+    for gamma in (2.0**-400, 2.0**400):
+        dec = dec_for(640, 0.999, gamma=gamma)
+        assert np.all(np.isfinite(dec.right_eigenvectors))
+        assert dec.residual_norms.max() <= 1e-8 * dec.operator_scale
+        with pytest.raises(sp.EigensolverError, match=r"two_j=1280, M=0"):
+            dec_for(1280, 0.999, gamma=gamma)
+
+
 def test_eigenvector_overflow_raises():
     # at p = 0.999, 2j = 1280 one solve of the resolvent exceeds the double range
     with pytest.raises(sp.EigensolverError, match=r"two_j=1280, M=0"):
