@@ -37,10 +37,14 @@ def test_ordering_descending_real():
 
 
 def test_residual_invariant():
-    # in the two large sectors the resolvent nears the double range: a solve
-    # from an unscaled start, or a repeated solve, overflows or loses accuracy
-    for two_j, p, M in ((40, 0.5, 0), (40, 0.0, 3), (40, 1.0, 0), (40, -0.8, -2), (640, 0.999, 0), (1280, 0.7, 0)):
-        dec = dec_for(two_j, p, M)
+    # in the large sectors the resolvent nears the double range: a solve from an
+    # unscaled start, or a repeated solve, overflows or loses accuracy; the
+    # resolvent goes as 1/gamma, so unscaled bands overflow at tiny gamma and
+    # lose whole columns to underflow at huge gamma
+    cases = ((40, 0.5, 0, 1.0), (40, 0.0, 3, 1.0), (40, 1.0, 0, 1.0), (40, -0.8, -2, 1.0), (640, 0.999, 0, 1.0),
+             (1280, 0.7, 0, 1.0), (640, 0.999, 0, 2.0**-400), (640, 0.999, 0, 2.0**400))
+    for two_j, p, M, gamma in cases:
+        dec = dec_for(two_j, p, M, gamma=gamma)
         assert np.all(np.isfinite(dec.right_eigenvectors))
         assert dec.residual_norms.max() <= 1e-8 * dec.operator_scale
 
@@ -66,21 +70,11 @@ def test_repeated_singular_solve_raises(monkeypatch):
         dec_for(8, 0.5, 2)
 
 
-def test_solve_window_does_not_depend_on_gamma():
-    # the resolvent goes as 1/gamma; a start vector not scaled with the operator
-    # overflows at tiny gamma and underflows to zero columns at huge gamma
-    for gamma in (2.0**-400, 2.0**400):
-        dec = dec_for(640, 0.999, gamma=gamma)
-        assert np.all(np.isfinite(dec.right_eigenvectors))
-        assert dec.residual_norms.max() <= 1e-8 * dec.operator_scale
+def test_eigenvector_overflow_raises():
+    # at p = 0.999, 2j = 1280 one solve of the resolvent exceeds the double range, for any gamma
+    for gamma in (1.0, 2.0**-400, 2.0**400):
         with pytest.raises(sp.EigensolverError, match=r"two_j=1280, M=0"):
             dec_for(1280, 0.999, gamma=gamma)
-
-
-def test_eigenvector_overflow_raises():
-    # at p = 0.999, 2j = 1280 one solve of the resolvent exceeds the double range
-    with pytest.raises(sp.EigensolverError, match=r"two_j=1280, M=0"):
-        dec_for(1280, 0.999)
 
 
 def test_structured_matches_qr_at_small_j():
