@@ -41,6 +41,7 @@ DEFAULTS = {
     "gamma0": "0",
     "doublet_threshold": "1e-6",
     "lambda_c_per_j": "-0.133975",
+    "jobs": "1",
 }
 
 
@@ -52,6 +53,9 @@ def _config_from(args) -> dict:
         val = getattr(args, key, None)
         if val is not None:
             cfg[key] = val
+    cfg["jobs"] = int(cfg["jobs"])
+    if cfg["jobs"] < 1:
+        raise ValueError(f"jobs must be at least 1, got {cfg['jobs']}")
     return cfg
 
 
@@ -83,18 +87,22 @@ def cmd_spectrum(args) -> int:
         return 2
     two_js = parse_int_list(cfg["two_j"])
     ps = parse_float_list(cfg["p"])
-    if not two_js or not ps:
+    ms = parse_int_list(cfg["m"]) if "m" in cfg else None
+    if not two_js or not ps or ms == []:
         print("error: empty sweep list", file=sys.stderr)
         return 2
     out = cfg.get("out", "out")
-    jobs = int(cfg.get("jobs", 1))
     thr = float(cfg["doublet_threshold"])
+    too_big = [M for M in ms or [] if abs(M) > max(two_js)]
+    if too_big:
+        print(f"error: sector M={too_big[0]} exceeds the largest 2j={max(two_js)}", file=sys.stderr)
+        return 2
 
     tasks = []
     for two_j in two_js:
-        ms = parse_int_list(cfg["m"]) if "m" in cfg else list(range(-two_j, two_j + 1))
         for p in ps:
-            for M in ms:
+            # an M that fits only the larger sizes is skipped for this one
+            for M in range(-two_j, two_j + 1) if ms is None else ms:
                 if abs(M) <= two_j:
                     tasks.append((two_j, p, M))
 
@@ -103,18 +111,13 @@ def cmd_spectrum(args) -> int:
         params = _params(cfg, two_j, p)
         dec = sp.diagonalize(build_sector(params, M))
         d = sp.pair_distances(dec)
-        rows, members = [], []
+        rows = []
         for N, lam in enumerate(dec.eigenvalues):
             dN = d[N] if N < len(d) else math.nan
             rows.append(_provenance(params, M) + [N, lam.real, lam.imag, dN])
-            # doublet register: odd N pairs with N+1
-            if N % 2 == 1:
-                members.append(N < len(d) and d[N] < thr)
-            else:
-                members.append(N > 0 and d[N - 1] < thr)
-        return rows, members
+        return rows, sp.doublet_members(d, thr)
 
-    results = _pool_map(jobs, work, tasks)
+    results = _pool_map(cfg["jobs"], work, tasks)
     rows = [r for chunk, _ in results for r in chunk]
     csv_path = write_csv(
         os.path.join(out, "spectra.csv"),
@@ -152,35 +155,32 @@ def cmd_scaling(args) -> int:
     ps = parse_float_list(cfg["p"])
     gammas = parse_float_list(cfg["gamma_bound"]) if "gamma_bound" in cfg else [1e-4]
     out = cfg.get("out", "out")
-    jobs = int(cfg.get("jobs", 1))
     lam_c_per_j = float(cfg["lambda_c_per_j"])
+    if not math.isfinite(lam_c_per_j):
+        raise ValueError(f"lambda_c_per_j must be finite, got {lam_c_per_j}")
 
     def decompose(task):
         two_j, p = task
         return sp.diagonalize(build_sector(_params(cfg, two_j, p), 0))
 
     tasks = [(two_j, p) for p in ps for two_j in two_js]
-    decs = dict(zip(tasks, _pool_map(jobs, decompose, tasks)))
+    decs = dict(zip(tasks, _pool_map(cfg["jobs"], decompose, tasks)))
 
-    doublet_rows, d1_rows, prec_rows, fit_rows = [], [], [], []
+    doublet_rows, d1_rows, prec_rows, fit_rows, d1_groups = [], [], [], [], []
     for p in ps:
-        xs_d1, ys_d1 = [], []
-        floored = False
+        d1_points = []
         for two_j in two_js:
             dec = decs[(two_j, p)]
             params = _params(cfg, two_j, p)
-            lam1 = dec.eigenvalues[1] if dec.dim > 1 else math.nan
-            lam2 = dec.eigenvalues[2] if dec.dim > 2 else math.nan
-            doublet_rows.append(_provenance(params, 0) + [lam1.real, lam2.real])
+            lam2 = dec.eigenvalues[2].real if dec.dim > 2 else math.nan
+            doublet_rows.append(_provenance(params, 0) + [dec.eigenvalues[1].real, lam2])
             if dec.dim > 2:
                 d1 = sp.eigenvector_distance(dec, 1)
                 d1_rows.append(_provenance(params, 0) + [d1])
-                # stop the decay fit at the double-precision floor
-                if d1 < sp.DISTANCE_FLOOR:
-                    floored = True
-                elif not floored:
-                    xs_d1.append(two_j / 2)
-                    ys_d1.append(d1)
+                d1_points.append((two_j / 2, d1))
+        xs_d1, ys_d1 = sp.floor_cut(d1_points)
+        if len(xs_d1):
+            d1_groups.append((f"p={p}", xs_d1, np.log10(ys_d1)))
         if len(xs_d1) >= 3:
             fit = sp.fit_exponential(xs_d1, ys_d1)
             fit_rows.append(["d1_decay", p, math.nan, fit.exponent, fit.prefactor, fit.r_squared, fit.n_points])
@@ -197,12 +197,8 @@ def cmd_scaling(args) -> int:
                     xs.append(two_j / 2)
                     ys.append(abs(diff_per_j))
             if len(xs) >= 3:
-                try:
-                    fit = sp.fit_power_law(xs, ys)
-                    fit_rows.append(["precursor_scaling", p, gamma, fit.exponent, fit.prefactor, fit.r_squared, fit.n_points])
-                except ValueError as exc:
-                    fit_rows.append(["precursor_scaling", p, gamma, math.nan, math.nan, math.nan, len(xs)])
-                    print(f"fit failed for p={p}, gamma={gamma}: {exc}", file=sys.stderr)
+                fit = sp.fit_power_law(xs, ys)
+                fit_rows.append(["precursor_scaling", p, gamma, fit.exponent, fit.prefactor, fit.r_squared, fit.n_points])
 
     write_csv(os.path.join(out, "doublet_eigenvalues.csv"),
               ["two_j", "p", "gamma", "gamma0", "h", "M", "re_lambda1", "re_lambda2"], doublet_rows)
@@ -212,16 +208,9 @@ def cmd_scaling(args) -> int:
               ["two_j", "p", "gamma", "gamma0", "h", "M", "gamma_bound", "re_lambda_star", "diff_per_j"], prec_rows)
     write_csv(os.path.join(out, "fits.csv"),
               ["series", "p", "gamma_bound", "exponent", "prefactor", "r_squared", "n_points"], fit_rows)
-    if d1_rows:
-        groups = []
-        for p in ps:
-            xs = [r[0] / 2 for r in d1_rows if r[1] == p and r[6] >= sp.DISTANCE_FLOOR]
-            ys = [r[6] for r in d1_rows if r[1] == p and r[6] >= sp.DISTANCE_FLOOR]
-            if xs:
-                groups.append((f"p={p}", xs, np.log10(ys)))
-        if groups:
-            svg_lines(os.path.join(out, "d1_decay.svg"), groups,
-                      xlabel="j", ylabel="log10 d1", title="doublet coalescence")
+    if d1_groups:
+        svg_lines(os.path.join(out, "d1_decay.svg"), d1_groups,
+                  xlabel="j", ylabel="log10 d1", title="doublet coalescence")
     print(f"wrote scaling CSVs to {out} ({len(prec_rows)} precursor rows)")
     return 0
 
@@ -283,7 +272,7 @@ def cmd_evolve(args) -> int:
     else:  # fock; parse_initial accepts no other name
         for two_j in two_js:
             params = _params(cfg, two_j, p)
-            m0 = min(kw["m"], two_j / 2)  # m=top selects the highest-weight state
+            m0 = two_j / 2 if kw["m"] == math.inf else kw["m"]  # m=top: the highest-weight state
             rho0 = dyn.fock_state(two_j, m0)
             states = dyn.propagate(params, rho0, times)
             svals = [dyn.entropy(s) for s in states]
@@ -338,7 +327,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--jobs", type=int, help="worker threads for sweeps")
             p.add_argument("--two-j", dest="two_j", help="list of 2j values, e.g. '40 80 160'")
             p.add_argument("--p", help="list of polarizations, e.g. '0 0.5 0.99'")
-            p.add_argument("--m", help="list of sectors M (default: all)")
+            p.add_argument("--m", help="list of sectors M (default: all); |M| may not exceed the largest 2j, "
+                                       "and an M too large for a smaller 2j is skipped there")
             p.add_argument("--gamma-bound", dest="gamma_bound", help="list of coalescence bounds")
             p.add_argument("--times", help="time grid lin:START:STOP:NUM or log:START:STOP:NUM")
             p.add_argument("--initial", help="initial state: hp-doublet:a=..:b=.. | fock:m=.. | coherent:theta=..:phi=..")

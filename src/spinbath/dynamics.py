@@ -262,7 +262,8 @@ def entropy(rho: VectorizedDensityMatrix) -> float:
         raise PositivityError(f"negative eigenvalue {w.min():.3e} in density matrix")
     w = np.clip(w, 0.0, None)
     w = w[w > 0]
-    return float(-np.sum(w * np.log(w)))
+    # + 0.0 turns the -0.0 of a pure state into 0.0
+    return float(-np.sum(w * np.log(w)) + 0.0)
 
 
 @dataclass(frozen=True)

@@ -12,10 +12,17 @@ coalesced pair both shifts land on the common direction, which is precisely
 the physics the eigenvector distance d_N is meant to capture.  A dense QR path
 (numpy.linalg.eig) is kept for cross-validation at small j, where it is
 reliable.
+
+Each coalescence decision lives once, here: pair_distances is the one d_N
+formula (eigenvector_distance reads one entry of it), doublet_members the one
+rule "doublet (2n-1, 2n) is closed iff d_{2n-1} < bound" (ep_scan and the
+spectrum command's doublet register), and floor_cut the one cut of d values
+below DISTANCE_FLOOR (decay fits and plots).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -35,12 +42,14 @@ __all__ = [
     "eigenvalues_only",
     "eigenvector_distance",
     "pair_distances",
+    "doublet_members",
     "ep_scan",
     "fit_power_law",
     "fit_exponential",
     "density_of_states",
     "kernel_dimension",
     "doublet_distance_decay",
+    "floor_cut",
     "DISTANCE_FLOOR",
 ]
 
@@ -222,43 +231,50 @@ def diagonalize(op: SectorOperator, method: str = "auto") -> SpectralDecompositi
 
 
 def eigenvector_distance(dec: SpectralDecomposition, N: int) -> float:
-    """d_N = 1 - |<N+1|N>| for unit-norm right eigenvectors; 0 means coalesced."""
+    """d_N, entry N of pair_distances (the one formula); IndexError outside 0 .. dim-2."""
     if not 0 <= N < dec.dim - 1:
         raise IndexError(f"pair index N={N} out of range for dim={dec.dim}")
-    ov = abs(np.vdot(dec.right_eigenvectors[:, N + 1], dec.right_eigenvectors[:, N]))
-    return float(min(max(1.0 - ov, 0.0), 1.0))
+    return float(pair_distances(dec)[N])
 
 
 def pair_distances(dec: SpectralDecomposition) -> np.ndarray:
-    """All consecutive distances d_0 .. d_{dim-2} in one pass."""
+    """All consecutive distances d_N = 1 - |<N+1|N>|, N = 0 .. dim-2; 0 means coalesced."""
     V = dec.right_eigenvectors
     ov = np.abs(np.sum(V[:, 1:].conj() * V[:, :-1], axis=0))
     return np.clip(1.0 - ov, 0.0, 1.0)
 
 
+def doublet_members(d: np.ndarray, bound: float) -> np.ndarray:
+    """Per eigenvalue: does it lie in a closed doublet (2n-1, 2n), i.e. d[2n-1] < bound?
+
+    This is the one coalescence rule; bound must lie in (0, 1).
+    """
+    if not 0 < bound < 1:
+        raise ValueError(f"coalescence bound must lie in (0, 1), got {bound}")
+    closed = d[1::2] < bound
+    member = np.zeros(len(d) + 1, dtype=bool)
+    member[1 : 1 + 2 * len(closed)] = np.repeat(closed, 2)
+    return member
+
+
 def ep_scan(dec: SpectralDecomposition, gamma_bound: float) -> EPScanResult:
     """Walk the doublets (2n-1, 2n) down the spectrum against a bound gamma.
 
-    Pairs with d_N < gamma count as coalesced; the precursor is the eigenvalue
-    lambda_{N+1} at the first doublet whose distance exceeds the bound.  When
-    every doublet is below the bound the precursor is None.
+    Doublets closed under doublet_members count as coalesced; the precursor
+    is the eigenvalue lambda_{N+1} of the first open doublet (N, N+1).  When
+    every doublet is closed the precursor is None.
     """
-    if not 0 < gamma_bound < 1:
-        raise ValueError(f"gamma_bound must lie in (0, 1), got {gamma_bound}")
-    d = pair_distances(dec)
-    paired: list[tuple[int, int]] = []
-    for n in range(1, (dec.dim - 1) // 2 + 1):
-        N = 2 * n - 1
-        if d[N] < gamma_bound:
-            paired.append((N, N + 1))
-        else:
-            return EPScanResult(
-                gamma_bound=gamma_bound,
-                precursor=complex(dec.eigenvalues[N + 1]),
-                precursor_index=N + 1,
-                paired_indices=paired,
-            )
-    return EPScanResult(gamma_bound=gamma_bound, precursor=None, precursor_index=None, paired_indices=paired)
+    member = doublet_members(pair_distances(dec), gamma_bound)[1:]
+    # N: first eigenvalue outside the closed doublets (dim if there is none);
+    # it opens a doublet (N, N+1) unless it is the last eigenvalue
+    N = dec.dim if member.all() else int(np.argmin(member)) + 1
+    prec = N + 1 if N + 1 < dec.dim else None
+    return EPScanResult(
+        gamma_bound=gamma_bound,
+        precursor=None if prec is None else complex(dec.eigenvalues[prec]),
+        precursor_index=prec,
+        paired_indices=[(n, n + 1) for n in range(1, N, 2)],
+    )
 
 
 def _linear_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
@@ -327,6 +343,16 @@ def kernel_dimension(op: SectorOperator, lam: complex, rel_tol: float = 1e-8) ->
     return int(np.sum(sv < tol))
 
 
+def floor_cut(points, floor: float = DISTANCE_FLOOR) -> tuple[np.ndarray, np.ndarray]:
+    """xs and ds of the (x, d) points before the first d below the floor.
+
+    Below the floor d is rounding noise.  points may be lazy: nothing past
+    the first point below the floor is drawn from it.
+    """
+    kept = list(itertools.takewhile(lambda xd: xd[1] >= floor, points))
+    return np.array([x for x, _ in kept], dtype=float), np.array([d for _, d in kept], dtype=float)
+
+
 def doublet_distance_decay(
     params_for: "callable",
     two_j_values,
@@ -334,21 +360,16 @@ def doublet_distance_decay(
     floor: float = DISTANCE_FLOOR,
     M: int = 0,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """d_{pair_index}(j) over a list of sizes, stopping once the floor is hit.
+    """d_{pair_index}(j) over a list of sizes, cut at the floor by floor_cut.
 
-    params_for maps two_j -> ModelParams; returns the sizes actually used and
-    their distances.  Sizes whose distance falls below the double-precision
-    floor terminate the scan (the values there are rounding noise).
+    params_for maps two_j -> ModelParams; returns the sizes j actually used
+    and their distances.  Sizes too small to hold the pair are skipped.
     """
-    js, ds = [], []
-    for two_j in two_j_values:
-        params = params_for(two_j)
-        dec = diagonalize(build_sector(params, M))
-        if dec.dim <= pair_index + 1:
-            continue
-        d = eigenvector_distance(dec, pair_index)
-        if d < floor:
-            break
-        js.append(two_j / 2.0)
-        ds.append(d)
-    return np.asarray(js, dtype=float), np.asarray(ds, dtype=float)
+
+    def points():
+        for two_j in two_j_values:
+            dec = diagonalize(build_sector(params_for(two_j), M))
+            if dec.dim > pair_index + 1:
+                yield two_j / 2.0, eigenvector_distance(dec, pair_index)
+
+    return floor_cut(points(), floor)

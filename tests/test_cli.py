@@ -66,18 +66,78 @@ def test_parse_float_list_fractions():
     assert parse_float_list("0.5, 1/4 2") == [0.5, 0.25, 2.0]
 
 
-def test_spectrum_command_deterministic(tmp_path):
+@pytest.mark.parametrize("argv,csvs", [
+    (["spectrum", "--two-j", "8", "--p", "0 0.5", "--m", "0 1"], ["spectra.csv"]),
+    (["scaling", "--two-j", "8 12 16 20", "--p", "0.2 0.5", "--gamma-bound", "1e-4 1e-6"],
+     ["doublet_eigenvalues.csv", "d1_decay.csv", "precursor.csv", "fits.csv"]),
+], ids=["spectrum", "scaling"])
+def test_spectrum_command_deterministic(tmp_path, argv, csvs):
     out1 = tmp_path / "a"
     out2 = tmp_path / "b"
-    rc = main(["spectrum", "--two-j", "8", "--p", "0 0.5", "--m", "0 1", "--out", str(out1)])
+    rc = main(argv + ["--out", str(out1), "--jobs", "1"])
     assert rc == 0
     # worker count must not affect the bytes
-    rc = main(["spectrum", "--two-j", "8", "--p", "0 0.5", "--m", "0 1", "--out", str(out2), "--jobs", "3"])
+    rc = main(argv + ["--out", str(out2), "--jobs", "3"])
     assert rc == 0
-    assert read(out1 / "spectra.csv") == read(out2 / "spectra.csv")
-    header = read(out1 / "spectra.csv").splitlines()[0]
-    assert header == "two_j,p,gamma,gamma0,h,M,N,re_lambda,im_lambda,d_N"
-    assert (out1 / "spectrum.svg").exists()
+    for name in csvs:
+        assert read(out1 / name) == read(out2 / name)
+    if argv[0] == "spectrum":
+        header = read(out1 / "spectra.csv").splitlines()[0]
+        assert header == "two_j,p,gamma,gamma0,h,M,N,re_lambda,im_lambda,d_N"
+        assert (out1 / "spectrum.svg").exists()
+    else:
+        assert any(line.startswith("d1_decay") for line in read(out1 / "fits.csv").splitlines())
+
+
+def one_line_error(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert len(err.splitlines()) == 1
+    return err
+
+
+@pytest.mark.parametrize("ms", ["0 99", "99", "-5"])
+def test_spectrum_rejects_sector_beyond_largest_size(tmp_path, capsys, ms):
+    rc = main(["spectrum", "--two-j", "4", "--p", "0.5", "--m", ms, "--out", str(tmp_path)])
+    assert rc == 2
+    assert "M=" in one_line_error(capsys)
+    assert not (tmp_path / "spectra.csv").exists()
+
+
+def test_spectrum_sector_fitting_only_larger_sizes(tmp_path):
+    rc = main(["spectrum", "--two-j", "4 8", "--p", "0.5", "--m", "6", "--out", str(tmp_path)])
+    assert rc == 0
+    rows = [r.split(",") for r in read(tmp_path / "spectra.csv").splitlines()[1:]]
+    assert {(r[0], r[5]) for r in rows} == {("8", "6")}  # skipped for 2j = 4
+    assert len(rows) == 3
+
+
+@pytest.mark.parametrize("extra,cfg_line", [
+    (["--jobs", "0"], None),
+    (["--jobs", "-3"], None),
+    ([], "jobs=0"),
+    ([], "doublet_threshold=2"),
+    ([], "doublet_threshold=0"),
+    ([], "doublet_threshold=nan"),
+], ids=["jobs-0", "jobs-minus-3", "config-jobs-0", "threshold-2", "threshold-0", "threshold-nan"])
+def test_spectrum_rejects_bad_jobs_and_threshold(tmp_path, capsys, extra, cfg_line):
+    argv = ["spectrum", "--two-j", "4", "--p", "0.5", "--out", str(tmp_path / "out")] + extra
+    if cfg_line is not None:
+        (tmp_path / "run.cfg").write_text(cfg_line + "\n", encoding="utf-8")
+        argv += ["--config", str(tmp_path / "run.cfg")]
+    assert main(argv) == 1
+    one_line_error(capsys)
+    assert not (tmp_path / "out" / "spectra.csv").exists()
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+def test_scaling_rejects_non_finite_lambda_c(tmp_path, capsys, value):
+    (tmp_path / "run.cfg").write_text(f"lambda_c_per_j={value}\n", encoding="utf-8")
+    rc = main(["scaling", "--two-j", "20 40 60", "--p", "0.5", "--config", str(tmp_path / "run.cfg"),
+               "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert "lambda_c_per_j" in one_line_error(capsys)
+    assert not (tmp_path / "out" / "fits.csv").exists()
 
 
 def test_spectrum_requires_sweeps(capsys):
@@ -87,6 +147,8 @@ def test_spectrum_requires_sweeps(capsys):
 
 def test_spectrum_empty_sweep_is_usage_error():
     rc = main(["spectrum", "--two-j", "", "--p", "0.5", "--out", "/tmp/spinbath-empty"])
+    assert rc == 2
+    rc = main(["spectrum", "--two-j", "4", "--p", "0.5", "--m", "", "--out", "/tmp/spinbath-empty"])
     assert rc == 2
 
 
@@ -194,6 +256,8 @@ def test_evolve_entropy(tmp_path):
     rows = [r.split(",") for r in read(tmp_path / "traces.csv").splitlines()[1:]]
     svals = [float(r[1]) for r in rows if r[-1] == "entropy"]
     assert svals[0] == pytest.approx(0.0, abs=1e-9)
+    assert [r[1] for r in rows if r[-1] == "entropy"][0] == "0"  # not -0
+    assert [float(r[1]) for r in rows if r[-1] == "jz"][0] == 4.0  # m=top is m = j
     assert svals[-1] <= math.log(9) + 1e-9
 
 
@@ -203,6 +267,17 @@ def test_evolve_nonphysical_initial_state(tmp_path):
         "--out", str(tmp_path),
     ])
     assert rc == 1
+
+
+def test_evolve_fock_m_beyond_j_is_error(tmp_path, capsys):
+    # m = 7 does not exist at 2j = 10; it used to run silently from m = 5
+    rc = main([
+        "evolve", "--two-j", "10", "--p", "0", "--initial", "fock:m=7",
+        "--times", "lin:0:1:3", "--out", str(tmp_path),
+    ])
+    assert rc == 1
+    assert "m=7" in one_line_error(capsys)
+    assert not (tmp_path / "traces.csv").exists()
 
 
 def test_config_file_with_flag_override(tmp_path):

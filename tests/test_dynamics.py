@@ -63,6 +63,7 @@ def test_coherent_state_examples():
 def test_entropy_examples():
     pure = dyn.fock_state(10, 5.0)
     assert dyn.entropy(pure) == pytest.approx(0.0, abs=1e-12)
+    assert math.copysign(1.0, dyn.entropy(pure)) == 1.0  # +0.0: CSVs print 0, not -0
     with pytest.raises(dyn.PositivityError):
         bad = dyn.fock_state(2, 1.0)
         bad.sectors[0] = np.array([-0.5, 0.5, 1.0], dtype=complex)

@@ -107,6 +107,59 @@ def test_distance_index_error():
         sp.eigenvector_distance(dec, 2)
 
 
+@pytest.mark.parametrize("two_j,p,M", [(40, 0.5, 0), (80, 0.7, 0), (30, 0.0, 3), (41, 0.99, -2), (320, 0.3, 0)])
+def test_eigenvector_distance_is_pair_distances_entry(two_j, p, M):
+    # one d_N formula: the single-pair accessor must agree to the last bit
+    dec = dec_for(two_j, p, M)
+    d = sp.pair_distances(dec)
+    assert [sp.eigenvector_distance(dec, N) for N in range(dec.dim - 1)] == d.tolist()
+
+
+def test_doublet_members_rule():
+    # doublets (1, 2) and (3, 4); eigenvalue 0 and the unpaired 5 never belong
+    d = np.array([1e-9, 1e-9, 0.3, 0.2, 1e-9])
+    assert sp.doublet_members(d, 1e-6).tolist() == [False, True, True, False, False, False]
+    assert sp.doublet_members(d, 0.25).tolist() == [False, True, True, True, True, False]
+    assert sp.doublet_members(np.array([]), 0.5).tolist() == [False]
+    for bound in (0.0, 1.0, -1e-3, 2.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            sp.doublet_members(d, bound)
+
+
+@pytest.mark.parametrize("two_j,p,M", [(1, 0.5, 0), (2, 0.5, 0), (21, 1.0, 0), (20, 1.0, 0), (80, 0.5, 0), (33, 0.9, 1)])
+@pytest.mark.parametrize("gamma", [1e-6, 1e-3, 0.5])
+def test_ep_scan_matches_doublet_walk(two_j, p, M, gamma):
+    # the walk by its definition: stop at the first doublet (N, N+1) with d_N >= gamma
+    dec = dec_for(two_j, p, M)
+    d = sp.pair_distances(dec)
+    paired, prec = [], None
+    for N in range(1, dec.dim - 1, 2):
+        if d[N] >= gamma:
+            prec = N + 1
+            break
+        paired.append((N, N + 1))
+    res = sp.ep_scan(dec, gamma)
+    assert res.paired_indices == paired
+    assert res.precursor_index == prec
+    assert res.precursor == (None if prec is None else complex(dec.eigenvalues[prec]))
+
+
+def test_floor_cut_stops_at_first_floor_value():
+    drawn = []
+
+    def points():
+        for x, d in [(1, 1e-3), (2, 1e-8), (3, 1e-13), (4, 1e-3)]:
+            drawn.append(x)
+            yield x, d
+
+    xs, ds = sp.floor_cut(points())
+    assert xs.tolist() == [1.0, 2.0]
+    assert ds.tolist() == [1e-3, 1e-8]
+    assert drawn == [1, 2, 3]  # nothing past the floor value is computed
+    xs, ds = sp.floor_cut([(1, 1e-13)])
+    assert len(xs) == len(ds) == 0
+
+
 def test_d1_strictly_decreases_with_j():
     d20 = sp.eigenvector_distance(dec_for(40, 0.5), 1)
     d40 = sp.eigenvector_distance(dec_for(80, 0.5), 1)
