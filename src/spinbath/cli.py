@@ -154,6 +154,9 @@ def cmd_scaling(args) -> int:
     two_js = sorted(parse_int_list(cfg["two_j"]))
     ps = parse_float_list(cfg["p"])
     gammas = parse_float_list(cfg["gamma_bound"]) if "gamma_bound" in cfg else [1e-4]
+    if not two_js or not ps or not gammas:
+        print("error: empty sweep list", file=sys.stderr)
+        return 2
     out = cfg.get("out", "out")
     lam_c_per_j = float(cfg["lambda_c_per_j"])
     if not math.isfinite(lam_c_per_j):
@@ -161,7 +164,8 @@ def cmd_scaling(args) -> int:
 
     def decompose(task):
         two_j, p = task
-        return sp.diagonalize(build_sector(_params(cfg, two_j, p), 0))
+        # eigenvectors down to the deepest precursor, the one at the largest bound
+        return sp.diagonalize(build_sector(_params(cfg, two_j, p), 0), bound=max(gammas))
 
     tasks = [(two_j, p) for p in ps for two_j in two_js]
     decs = dict(zip(tasks, _pool_map(cfg["jobs"], decompose, tasks)))
@@ -313,25 +317,32 @@ def build_parser() -> argparse.ArgumentParser:
         description="Spectra and dynamics of a dissipative collective spin in a polarized bath",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-    for name, fn, help_ in (
-        ("spectrum", cmd_spectrum, "emit sector spectra and a scatter plot"),
-        ("scaling", cmd_scaling, "doublet/precursor finite-size scaling data and fits"),
-        ("evolve", cmd_evolve, "time evolution experiments (slow-down, oscillations, entropy)"),
-        ("verify", cmd_verify, "run the invariant suite and report pass/fail"),
+    # each subcommand registers only the flags it reads
+    for name, fn, help_, own_flags in (
+        ("spectrum", cmd_spectrum, "emit sector spectra and a scatter plot", [
+            ("--m", "list of sectors M (default: all); |M| may not exceed the largest 2j, "
+                    "and an M too large for a smaller 2j is skipped there"),
+        ]),
+        ("scaling", cmd_scaling, "doublet/precursor finite-size scaling data and fits", [
+            ("--gamma-bound", "list of coalescence bounds"),
+        ]),
+        ("evolve", cmd_evolve, "time evolution experiments (slow-down, oscillations, entropy)", [
+            ("--times", "time grid lin:START:STOP:NUM or log:START:STOP:NUM"),
+            ("--initial", "initial state: hp-doublet:a=..:b=.. | fock:m=.. | coherent:theta=..:phi=.."),
+        ]),
+        ("verify", cmd_verify, "run the invariant suite and report pass/fail", None),
     ):
         p = sub.add_parser(name, help=help_)
         p.set_defaults(func=fn)
-        if name != "verify":
-            p.add_argument("--config", help="key=value configuration file")
-            p.add_argument("--out", help="output directory (default ./out)")
-            p.add_argument("--jobs", type=int, help="worker threads for sweeps")
-            p.add_argument("--two-j", dest="two_j", help="list of 2j values, e.g. '40 80 160'")
-            p.add_argument("--p", help="list of polarizations, e.g. '0 0.5 0.99'")
-            p.add_argument("--m", help="list of sectors M (default: all); |M| may not exceed the largest 2j, "
-                                       "and an M too large for a smaller 2j is skipped there")
-            p.add_argument("--gamma-bound", dest="gamma_bound", help="list of coalescence bounds")
-            p.add_argument("--times", help="time grid lin:START:STOP:NUM or log:START:STOP:NUM")
-            p.add_argument("--initial", help="initial state: hp-doublet:a=..:b=.. | fock:m=.. | coherent:theta=..:phi=..")
+        if own_flags is None:
+            continue
+        p.add_argument("--config", help="key=value configuration file")
+        p.add_argument("--out", help="output directory (default ./out)")
+        p.add_argument("--jobs", type=int, help="worker threads for sweeps")
+        p.add_argument("--two-j", dest="two_j", help="list of 2j values, e.g. '40 80 160'")
+        p.add_argument("--p", help="list of polarizations, e.g. '0 0.5 0.99'")
+        for flag, flag_help in own_flags:
+            p.add_argument(flag, help=flag_help)
     return ap
 
 

@@ -140,6 +140,49 @@ def test_scaling_rejects_non_finite_lambda_c(tmp_path, capsys, value):
     assert not (tmp_path / "out" / "fits.csv").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["scaling", "--two-j", "8", "--p", "0.5", "--m", "3"],
+    ["scaling", "--two-j", "8", "--p", "0.5", "--times", "lin:0:1:2"],
+    ["scaling", "--two-j", "8", "--p", "0.5", "--initial", "fock:m=1"],
+    ["spectrum", "--two-j", "4", "--p", "0.5", "--gamma-bound", "5"],
+    ["spectrum", "--two-j", "4", "--p", "0.5", "--times", "lin:0:1:2"],
+    ["spectrum", "--two-j", "4", "--p", "0.5", "--initial", "fock:m=1"],
+    ["evolve", "--two-j", "4", "--p", "0", "--initial", "fock:m=top", "--m", "0"],
+    ["evolve", "--two-j", "4", "--p", "0", "--initial", "fock:m=top", "--gamma-bound", "1e-4"],
+], ids=lambda argv: f"{argv[0]}{argv[-2]}")
+def test_flag_the_command_does_not_read_is_usage_error(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_scaling_bounded_eigenvectors_give_the_full_bytes(tmp_path, monkeypatch):
+    # eigenvectors only down to the deepest precursor must not move a byte of any output;
+    # 2j = 320 is the size whose first 64-column block already holds the precursor
+    import spinbath.cli as cli
+
+    argv = ["scaling", "--two-j", "8 12 16 20 40 320", "--p", "0.2 0.5 0.999", "--gamma-bound", "1e-4 1e-6"]
+    bounded, columns = cli.sp.diagonalize, []
+
+    def counting(op, bound=None):
+        dec = bounded(op, bound=bound)
+        columns.append((dec.right_eigenvectors.shape[1], dec.dim))
+        return dec
+
+    monkeypatch.setattr(cli.sp, "diagonalize", counting)
+    assert main(argv + ["--out", str(tmp_path / "bounded")]) == 0
+    assert (64, 321) in columns
+    monkeypatch.setattr(cli.sp, "diagonalize", lambda op, bound=None: bounded(op))
+    assert main(argv + ["--out", str(tmp_path / "full")]) == 0
+    names = sorted(os.listdir(tmp_path / "full"))
+    assert names == ["d1_decay.csv", "d1_decay.svg", "doublet_eigenvalues.csv", "fits.csv", "precursor.csv"]
+    assert sorted(os.listdir(tmp_path / "bounded")) == names
+    for name in names:
+        assert read(tmp_path / "bounded" / name) == read(tmp_path / "full" / name)
+
+
 def test_spectrum_requires_sweeps(capsys):
     rc = main(["spectrum"])
     assert rc == 2
@@ -149,6 +192,8 @@ def test_spectrum_empty_sweep_is_usage_error():
     rc = main(["spectrum", "--two-j", "", "--p", "0.5", "--out", "/tmp/spinbath-empty"])
     assert rc == 2
     rc = main(["spectrum", "--two-j", "4", "--p", "0.5", "--m", "", "--out", "/tmp/spinbath-empty"])
+    assert rc == 2
+    rc = main(["scaling", "--two-j", "8", "--p", "0.5", "--gamma-bound", "", "--out", "/tmp/spinbath-empty"])
     assert rc == 2
 
 

@@ -77,6 +77,52 @@ def test_eigenvector_overflow_raises():
             dec_for(1280, 0.999, gamma=gamma)
 
 
+@pytest.mark.parametrize("two_j,p", [(tj, p) for tj in (20, 320, 640) for p in (0.0, 0.5, 0.999)]
+                         + [(20, 1.0), (128, 1.0)])
+def test_bounded_diagonalize_is_leading_columns(two_j, p):
+    # solved blocks end at 64, 128, 256, ... and at dim, which also takes a lone last column
+    # (2j = 128); the walk stops at the first block end past the full precursor
+    op = build_sector(ModelParams(two_j=two_j, p=p), 0)
+    full = sp.diagonalize(op)
+    ends = [e for e in (64, 128, 256, 512) if e < full.dim - 1] + [full.dim]
+    bounds = (0.5, 1e-2, 1e-4, 1e-6, 1e-9, 1e-13)
+    for build in bounds:
+        dec = sp.diagonalize(op, bound=build)
+        k = dec.right_eigenvectors.shape[1]
+        prec = sp.ep_scan(full, build).precursor_index
+        assert k == (full.dim if prec is None else min(e for e in ends if e > prec))
+        assert np.array_equal(dec.eigenvalues, full.eigenvalues)
+        assert np.array_equal(dec.right_eigenvectors, full.right_eigenvectors[:, :k])
+        assert dec.residual_norms.shape == (k,)
+        for gamma in bounds[bounds.index(build):]:
+            assert sp.ep_scan(dec, gamma) == sp.ep_scan(full, gamma)
+        assert sp.eigenvector_distance(dec, 1) == sp.eigenvector_distance(full, 1)
+    if p == 1.0:  # every doublet closed: every column comes back
+        assert k == full.dim
+
+
+def test_bounded_diagonalize_guards(monkeypatch):
+    op = build_sector(ModelParams(two_j=320, p=0.5), 0)
+    dec = sp.diagonalize(op, bound=1e-6)
+    assert dec.right_eigenvectors.shape[1] == 64
+    with pytest.raises(ValueError, match="64 of 321 eigenvectors end before"):
+        sp.ep_scan(dec, 0.5)  # its first open doublet lies past the computed columns
+    with pytest.raises(ValueError, match="all 321 eigenvectors"):
+        dec.near_defective_pairs()
+    with pytest.raises(IndexError):
+        sp.eigenvector_distance(dec, 63)
+
+    def no_solve(op):
+        raise AssertionError("solved before the bound was checked")
+
+    monkeypatch.setattr(sp, "eigenvalues_only", no_solve)
+    with pytest.raises(ValueError, match="method 'auto'"):
+        sp.diagonalize(op, method="qr", bound=1e-6)
+    for bound in (0.0, 1.0, float("nan")):
+        with pytest.raises(ValueError, match=r"must lie in \(0, 1\)"):
+            sp.diagonalize(op, bound=bound)
+
+
 def test_structured_matches_qr_at_small_j():
     for p, M in ((0.5, 0), (0.3, 2), (0.0, -1)):
         a = dec_for(16, p, M, method="auto")
