@@ -45,11 +45,19 @@ DEFAULTS = {
 }
 
 
+class UsageError(ValueError):
+    """Input the command cannot run with: one error line and exit status 2."""
+
+
 def _config_from(args) -> dict:
     cfg = dict(DEFAULTS)
     if args.config:
-        cfg.update(read_config(args.config))
-    for key in ("two_j", "p", "m", "gamma_bound", "times", "initial", "out", "jobs"):
+        file_cfg = read_config(args.config)
+        unread = sorted(set(file_cfg) - args.config_keys)
+        if unread:
+            raise UsageError(f"{args.command} does not read config key(s) {', '.join(unread)}")
+        cfg.update(file_cfg)
+    for key in args.config_keys:
         val = getattr(args, key, None)
         if val is not None:
             cfg[key] = val
@@ -83,28 +91,21 @@ def _provenance(params: ModelParams, M) -> list:
 def cmd_spectrum(args) -> int:
     cfg = _config_from(args)
     if "two_j" not in cfg or "p" not in cfg:
-        print("error: spectrum needs --two-j and --p sweep lists", file=sys.stderr)
-        return 2
+        raise UsageError("spectrum needs --two-j and --p sweep lists")
     two_js = parse_int_list(cfg["two_j"])
     ps = parse_float_list(cfg["p"])
     ms = parse_int_list(cfg["m"]) if "m" in cfg else None
     if not two_js or not ps or ms == []:
-        print("error: empty sweep list", file=sys.stderr)
-        return 2
+        raise UsageError("empty sweep list")
     out = cfg.get("out", "out")
     thr = float(cfg["doublet_threshold"])
     too_big = [M for M in ms or [] if abs(M) > max(two_js)]
     if too_big:
-        print(f"error: sector M={too_big[0]} exceeds the largest 2j={max(two_js)}", file=sys.stderr)
-        return 2
+        raise UsageError(f"sector M={too_big[0]} exceeds the largest 2j={max(two_js)}")
 
-    tasks = []
-    for two_j in two_js:
-        for p in ps:
-            # an M that fits only the larger sizes is skipped for this one
-            for M in range(-two_j, two_j + 1) if ms is None else ms:
-                if abs(M) <= two_j:
-                    tasks.append((two_j, p, M))
+    # an M that fits only the larger sizes is skipped for the smaller ones
+    tasks = [(two_j, p, M) for two_j in two_js for p in ps
+             for M in (range(-two_j, two_j + 1) if ms is None else ms) if abs(M) <= two_j]
 
     def work(task):
         two_j, p, M = task
@@ -125,19 +126,15 @@ def cmd_spectrum(args) -> int:
         rows,
     )
     # scatter of (Re/j, Im) colored by doublet membership at the threshold
-    doublet_x, doublet_y, other_x, other_y = [], [], [], []
+    points = {True: ([], []), False: ([], [])}
     for chunk, members in results:
         for row, member in zip(chunk, members):
-            two_j, re, im = row[0], row[7], row[8]
-            if member:
-                doublet_x.append(re / (two_j / 2))
-                doublet_y.append(im)
-            else:
-                other_x.append(re / (two_j / 2))
-                other_y.append(im)
+            xs, ys = points[bool(member)]
+            xs.append(row[7] / (row[0] / 2))
+            ys.append(row[8])
     svg_scatter(
         os.path.join(out, "spectrum.svg"),
-        [("coalesced pairs", doublet_x, doublet_y), ("isolated", other_x, other_y)],
+        [("coalesced pairs", *points[True]), ("isolated", *points[False])],
         xlabel="Re(lambda)/j",
         ylabel="Im(lambda)",
         title="Liouvillian spectrum",
@@ -149,14 +146,12 @@ def cmd_spectrum(args) -> int:
 def cmd_scaling(args) -> int:
     cfg = _config_from(args)
     if "two_j" not in cfg or "p" not in cfg:
-        print("error: scaling needs --two-j and --p lists", file=sys.stderr)
-        return 2
+        raise UsageError("scaling needs --two-j and --p lists")
     two_js = sorted(parse_int_list(cfg["two_j"]))
     ps = parse_float_list(cfg["p"])
     gammas = parse_float_list(cfg["gamma_bound"]) if "gamma_bound" in cfg else [1e-4]
     if not two_js or not ps or not gammas:
-        print("error: empty sweep list", file=sys.stderr)
-        return 2
+        raise UsageError("empty sweep list")
     out = cfg.get("out", "out")
     lam_c_per_j = float(cfg["lambda_c_per_j"])
     if not math.isfinite(lam_c_per_j):
@@ -222,13 +217,13 @@ def cmd_scaling(args) -> int:
 def cmd_evolve(args) -> int:
     cfg = _config_from(args)
     if "two_j" not in cfg or "initial" not in cfg:
-        print("error: evolve needs --two-j and --initial", file=sys.stderr)
-        return 2
+        raise UsageError("evolve needs --two-j and --initial")
     two_js = parse_int_list(cfg["two_j"])
+    if not two_js:
+        raise UsageError("empty sweep list")
     ps = parse_float_list(cfg.get("p", "0"))
     if len(ps) != 1:
-        print("error: evolve takes a single --p value", file=sys.stderr)
-        return 2
+        raise UsageError("evolve takes a single --p value")
     p = ps[0]
     times = parse_time_grid(cfg.get("times", "lin:0:3:61"))
     out = cfg.get("out", "out")
@@ -240,18 +235,11 @@ def cmd_evolve(args) -> int:
         mid_devs = []
         for two_j in two_js:
             params = _params(cfg, two_j, p)
-            try:
-                res = dyn.slowdown_experiment(params, kw["a"], kw["b"], times)
-            except ValueError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 1
-            for t, v in zip(res.numeric.times, res.numeric.values):
-                trace_rows.append([t, v, two_j, p, "delta_jz_numeric"])
-            for t, v in zip(res.theory.times, res.theory.values):
-                trace_rows.append([t, v, two_j, p, "delta_jz_theory"])
+            res = dyn.slowdown_experiment(params, kw["a"], kw["b"], times)
+            trace_rows += [[t, v, two_j, p, "delta_jz_numeric"] for t, v in zip(res.numeric.times, res.numeric.values)]
+            trace_rows += [[t, v, two_j, p, "delta_jz_theory"] for t, v in zip(res.theory.times, res.theory.values)]
             dev = (res.numeric.values - res.theory.values) / res.theory.values
-            for t, v in zip(times, dev):
-                extra_rows.append([t, v, two_j, p, "relative_deviation"])
+            extra_rows += [[t, v, two_j, p, "relative_deviation"] for t, v in zip(times, dev)]
             mid_devs.append(abs(dev[len(times) // 2]))
             groups.append((f"numeric j={two_j/2:g}", times, res.numeric.values))
             groups.append((f"theory j={two_j/2:g}", times, res.theory.values))
@@ -262,14 +250,12 @@ def cmd_evolve(args) -> int:
                   title="relaxation slow-down")
     elif name == "coherent":
         if p != 0:
-            print("error: coherent-state oscillation run requires p=0", file=sys.stderr)
-            return 1
+            raise ValueError("coherent-state oscillation run requires p=0")
         params0 = _params(cfg, two_js[0], 0.0)
         curves = dyn.btc_experiment(params0, two_js, times,
                                     cross_check_max_two_j=int(cfg.get("cross_check_max_two_j", 0)))
         for two_j, tr in curves.items():
-            for t, v in zip(tr.times, tr.values):
-                trace_rows.append([t, v, two_j, 0.0, "jx_over_j"])
+            trace_rows += [[t, v, two_j, 0.0, "jx_over_j"] for t, v in zip(tr.times, tr.values)]
             groups.append((f"j={two_j/2:g}", tr.times, tr.values))
         svg_lines(os.path.join(out, "oscillations.svg"), groups, xlabel="t", ylabel="<Jx>/j",
                   title="undamped oscillations toward the large-j limit")
@@ -281,10 +267,8 @@ def cmd_evolve(args) -> int:
             states = dyn.propagate(params, rho0, times)
             svals = [dyn.entropy(s) for s in states]
             jzvals = [dyn.expectation(s, "jz") for s in states]
-            for t, v in zip(times, svals):
-                trace_rows.append([t, v, two_j, p, "entropy"])
-            for t, v in zip(times, jzvals):
-                trace_rows.append([t, v, two_j, p, "jz"])
+            trace_rows += [[t, v, two_j, p, "entropy"] for t, v in zip(times, svals)]
+            trace_rows += [[t, v, two_j, p, "jz"] for t, v in zip(times, jzvals)]
             groups.append((f"S(t) j={two_j/2:g}", times, np.asarray(svals)))
             extra_rows.append([times[-1], math.log(two_j + 1), two_j, p, "entropy_upper_bound"])
         svg_lines(os.path.join(out, "entropy.svg"), groups, xlabel="t", ylabel="S", title="entropy growth")
@@ -317,32 +301,34 @@ def build_parser() -> argparse.ArgumentParser:
         description="Spectra and dynamics of a dissipative collective spin in a polarized bath",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-    # each subcommand registers only the flags it reads
-    for name, fn, help_, own_flags in (
+    # each subcommand registers only the flags it reads; --config may hold only those
+    # flags' keys, h, gamma, gamma0 and the command's own config-only keys
+    for name, fn, help_, own_flags, own_keys in (
         ("spectrum", cmd_spectrum, "emit sector spectra and a scatter plot", [
             ("--m", "list of sectors M (default: all); |M| may not exceed the largest 2j, "
                     "and an M too large for a smaller 2j is skipped there"),
-        ]),
+        ], ["doublet_threshold"]),
         ("scaling", cmd_scaling, "doublet/precursor finite-size scaling data and fits", [
             ("--gamma-bound", "list of coalescence bounds"),
-        ]),
+        ], ["lambda_c_per_j"]),
         ("evolve", cmd_evolve, "time evolution experiments (slow-down, oscillations, entropy)", [
             ("--times", "time grid lin:START:STOP:NUM or log:START:STOP:NUM"),
             ("--initial", "initial state: hp-doublet:a=..:b=.. | fock:m=.. | coherent:theta=..:phi=.."),
-        ]),
-        ("verify", cmd_verify, "run the invariant suite and report pass/fail", None),
+        ], ["cross_check_max_two_j"]),
+        ("verify", cmd_verify, "run the invariant suite and report pass/fail", None, None),
     ):
         p = sub.add_parser(name, help=help_)
         p.set_defaults(func=fn)
         if own_flags is None:
             continue
         p.add_argument("--config", help="key=value configuration file")
-        p.add_argument("--out", help="output directory (default ./out)")
-        p.add_argument("--jobs", type=int, help="worker threads for sweeps")
-        p.add_argument("--two-j", dest="two_j", help="list of 2j values, e.g. '40 80 160'")
-        p.add_argument("--p", help="list of polarizations, e.g. '0 0.5 0.99'")
-        for flag, flag_help in own_flags:
-            p.add_argument(flag, help=flag_help)
+        flags = [
+            p.add_argument("--out", help="output directory (default ./out)"),
+            p.add_argument("--jobs", type=int, help="worker threads for sweeps"),
+            p.add_argument("--two-j", dest="two_j", help="list of 2j values, e.g. '40 80 160'"),
+            p.add_argument("--p", help="list of polarizations, e.g. '0 0.5 0.99'"),
+        ] + [p.add_argument(flag, help=flag_help) for flag, flag_help in own_flags]
+        p.set_defaults(config_keys={"h", "gamma", "gamma0", *own_keys, *(a.dest for a in flags)})
     return ap
 
 
@@ -352,7 +338,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, OSError, sp.EigensolverError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, UsageError) else 1
 
 
 if __name__ == "__main__":

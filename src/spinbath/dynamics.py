@@ -168,7 +168,7 @@ def _grouped_steps(ts: np.ndarray) -> np.ndarray:
 def propagate(params: ModelParams, rho0: VectorizedDensityMatrix, times) -> list[VectorizedDensityMatrix]:
     """States exp(t L) rho0 at the requested times (nondecreasing, t >= 0).
 
-    Every sector generator is L_M = R_M + i h M with R_M real, so
+    Every sector generator is L_M = R_M + i h M with R_M its real bands, so
     exp(t L_M) v = e^{i h M t} exp(t R_M) v and the whole propagation runs in
     real arithmetic on the (n, 2) view of the complex sector vector.  Per
     populated sector there is one real interval propagator per distinct
@@ -185,7 +185,6 @@ def propagate(params: ModelParams, rho0: VectorizedDensityMatrix, times) -> list
     out = [VectorizedDensityMatrix(rho0.two_j) for _ in ts]
     for M, v0 in rho0.sectors.items():
         op = build_sector(params, M)
-        # build_sector puts the sector's only imaginary part, h*M, on every diagonal entry
         R = op.to_dense().real
         scale = op.scale()
         cache: dict[float, np.ndarray] = {}
@@ -199,7 +198,7 @@ def propagate(params: ModelParams, rho0: VectorizedDensityMatrix, times) -> list
                     cache[dt] = P
                 u = P @ u
             v = u.view(complex).ravel()
-            out[i].sectors[M] = v * np.exp(1j * params.h * M * t) if M else v.copy()
+            out[i].sectors[M] = v * np.exp(1j * op.shift * t) if M else v.copy()
     return out
 
 

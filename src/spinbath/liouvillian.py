@@ -32,6 +32,8 @@ BRUTEFORCE_MAX_HILBERT_DIM = 64
 class SectorOperator:
     """Tridiagonal action of the Liouvillian on one M sector.
 
+    The operator is the real float64 tridiagonal (diag, upper, lower) plus the
+    constant i*shift on its diagonal, shift = h*M; to_dense, matvec and scale add it.
     upper[k] feeds component m_k into m_{k+1} (dense entry [k+1, k]);
     lower[k] feeds component m_{k+1} into m_k (dense entry [k, k+1]).
     """
@@ -40,6 +42,7 @@ class SectorOperator:
     diag: np.ndarray
     upper: np.ndarray
     lower: np.ndarray
+    shift: float
 
     @property
     def dim(self) -> int:
@@ -48,7 +51,7 @@ class SectorOperator:
     def to_dense(self) -> np.ndarray:
         n = self.dim
         A = np.zeros((n, n), dtype=complex)
-        A[np.arange(n), np.arange(n)] = self.diag
+        A[np.arange(n), np.arange(n)] = self.diag + 1j * self.shift
         if n > 1:
             A[np.arange(1, n), np.arange(n - 1)] = self.upper
             A[np.arange(n - 1), np.arange(1, n)] = self.lower
@@ -56,7 +59,7 @@ class SectorOperator:
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         """L v for a vector v, or for every column of an (n, k) block v."""
-        diag, upper, lower = self.diag, self.upper, self.lower
+        diag, upper, lower = self.diag + 1j * self.shift, self.upper, self.lower
         if v.ndim == 2:
             diag, upper, lower = diag[:, None], upper[:, None], lower[:, None]
         out = diag * v
@@ -67,24 +70,23 @@ class SectorOperator:
 
     def scale(self) -> float:
         """Magnitude estimate (max row sum) used in relative tolerances."""
-        s = np.abs(self.diag).max()
+        s = np.abs(self.diag + 1j * self.shift).max()
         if self.dim > 1:
             s += np.abs(self.upper).max() + np.abs(self.lower).max()
         return float(s)
 
 
 def build_sector(params: ModelParams, M: int) -> SectorOperator:
-    """Tridiagonal Liouvillian restricted to sector M."""
+    """Tridiagonal Liouvillian restricted to sector M: real bands, shift h*M."""
     sec = sector_basis(params, M)
     j, G, G0, h, p = params.j, params.gamma, params.gamma0, params.h, params.p
     ms = sec.m_values()
     diag = (
         -G * (j + 1)
-        + 1j * h * M
         + (G / j) * ms * (ms - M)
         + ((G - G0) / (2 * j)) * M**2
         - (G * p / (2 * j)) * (2 * ms - M)
-    ).astype(complex)
+    )
     if sec.dim > 1:
         src_up = ms[:-1]
         upper = (G / j) * (1 - p) / 2 * ladder_coeff(j, src_up, "raise") * ladder_coeff(j, src_up - M, "raise")
@@ -93,7 +95,7 @@ def build_sector(params: ModelParams, M: int) -> SectorOperator:
     else:
         upper = np.zeros(0)
         lower = np.zeros(0)
-    return SectorOperator(sector=sec, diag=diag, upper=upper.astype(complex), lower=lower.astype(complex))
+    return SectorOperator(sector=sec, diag=diag, upper=upper, lower=lower, shift=h * M)
 
 
 def gamma0_shift_check(params: ModelParams, M: int) -> float:

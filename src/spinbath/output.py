@@ -105,28 +105,31 @@ def parse_time_grid(spec: str) -> np.ndarray:
     raise ValueError(f"unknown grid kind {kind!r}")
 
 
+# initial-state selectors and their keys with defaults; fock's m has none
+_SELECTORS = {"hp-doublet": {"a": 0.0, "b": 0.0}, "fock": {"m": None}, "coherent": {"theta": math.pi / 2, "phi": 0.0}}
+
+
 def parse_initial(spec: str) -> tuple[str, dict]:
     """Initial-state selector: name[:key=value]* with fraction-friendly values.
 
-    Names: hp-doublet (keys a, b), fock (key m), coherent (keys theta, phi).
+    Names: hp-doublet (keys a, b), fock (key m), coherent (keys theta, phi);
+    any other name or key is a ValueError.
     """
     parts = spec.split(":")
     name = parts[0].strip().lower()
-    kwargs = {}
+    if name not in _SELECTORS:
+        raise ValueError(f"unknown initial-state selector {name!r}")
+    kwargs = dict(_SELECTORS[name])
     for tok in parts[1:]:
         if "=" not in tok:
             raise ValueError(f"selector argument {tok!r} must be key=value")
-        k, v = tok.split("=", 1)
-        kwargs[k.strip()] = _num(v)
-    if name == "hp-doublet":
-        return name, {"a": kwargs.get("a", 0.0), "b": kwargs.get("b", 0.0)}
-    if name == "fock":
-        if "m" not in kwargs:
-            raise ValueError("fock selector needs m=<value> (or m=top for m=j)")
-        return name, {"m": kwargs["m"]}
-    if name == "coherent":
-        return name, {"theta": kwargs.get("theta", math.pi / 2), "phi": kwargs.get("phi", 0.0)}
-    raise ValueError(f"unknown initial-state selector {name!r}")
+        k, v = (x.strip() for x in tok.split("=", 1))
+        if k not in kwargs:
+            raise ValueError(f"{name} selector takes no key {k!r} (keys: {', '.join(kwargs)})")
+        kwargs[k] = _num(v)
+    if name == "fock" and kwargs["m"] is None:
+        raise ValueError("fock selector needs m=<value> (or m=top for m=j)")
+    return name, kwargs
 
 
 _SVG_COLORS = ["#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd", "#8c564b", "#e377c2"]

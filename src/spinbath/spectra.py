@@ -1,14 +1,14 @@
 """Non-Hermitian sector diagonalization and the exceptional-point scan pipeline.
 
-Every sector operator is a real tridiagonal matrix plus the constant imaginary
-shift i*h*M, and for |p| < 1 both off-diagonal bands are strictly positive.
-Such a matrix is diagonally similar to a real symmetric tridiagonal one, so the
-spectrum is {real value + i h M} exactly and is obtained, fully converged, from
-the symmetric eigenproblem.  Because every diagonal entry and every eigenvalue
-carry the same i*h*M, the shifted operator L - lambda is exactly real, and
-each eigenvector is one real LAPACK tridiagonal solve (dgtsv) of the original
-bands, i.e. a single inverse-iteration step from a fixed start vector.  Near a
-coalesced pair both shifts land on the common direction, which is precisely
+Every sector operator holds real bands plus the scalar shift h*M, meaning
+i*shift on its diagonal, and for |p| < 1 both off-diagonal bands are strictly
+positive.  Such bands are diagonally similar to a real symmetric tridiagonal
+matrix, so the spectrum is {real value + i*shift} exactly and is obtained,
+fully converged, from the symmetric eigenproblem of the bands as they are.
+Every eigenvalue carries the same i*shift, so L - lambda is the real bands
+minus Re(lambda), and each eigenvector is one real LAPACK tridiagonal solve
+(dgtsv), i.e. a single inverse-iteration step from a fixed start vector.  Near
+a coalesced pair both shifts land on the common direction, which is precisely
 the physics the eigenvector distance d_N is meant to capture.  A dense QR path
 (numpy.linalg.eig) is kept for cross-validation at small j, where it is
 reliable.
@@ -87,7 +87,8 @@ class SpectralDecomposition:
     ||L v_N - lambda_N v_N||, recomputed from the operator's bands.
     eigenvalues always hold all dim values; built with a bound (see
     diagonalize), right_eigenvectors and residual_norms may hold only the
-    leading columns, fewer than dim.
+    leading columns, fewer than dim.  distances holds their d_N (see
+    pair_distances), read-only and computed once when not passed in.
     """
 
     sector: "object"
@@ -96,6 +97,12 @@ class SpectralDecomposition:
     residual_norms: np.ndarray
     operator_scale: float
     method: str
+    distances: np.ndarray | None = None
+
+    def __post_init__(self):
+        d = _distances(self.right_eigenvectors) if self.distances is None else self.distances
+        d.flags.writeable = False
+        object.__setattr__(self, "distances", d)
 
     @property
     def dim(self) -> int:
@@ -151,27 +158,22 @@ def eigenvalues_only(op: SectorOperator) -> np.ndarray:
     neither same-signed nor one-sided (never built by build_sector) raise
     EigensolverError.
     """
-    n = op.dim
-    shift = 1j * op.diag[0].imag
-    if n == 1:
-        return op.diag.astype(complex).copy()
-    up = op.upper.real
-    lo = op.lower.real
-    prod = up * lo
+    prod = op.upper * op.lower
     if np.all(prod > 0):
-        w = eigvalsh_tridiagonal(op.diag.real, np.sqrt(prod))[::-1]
-        return w + shift
-    if np.all(np.abs(op.upper) == 0) or np.all(np.abs(op.lower) == 0):
-        return np.sort(op.diag.real)[::-1] + shift
-    # mixed-sign couplings: the symmetrization above does not apply
-    raise _sector_error("off-diagonal bands of mixed sign", op.sector)
+        w = eigvalsh_tridiagonal(op.diag, np.sqrt(prod))[::-1]
+    elif np.all(op.upper == 0) or np.all(op.lower == 0):
+        w = np.sort(op.diag)[::-1]
+    else:
+        # mixed-sign couplings: the symmetrization above does not apply
+        raise _sector_error("off-diagonal bands of mixed sign", op.sector)
+    return w + 1j * op.shift
 
 
 def _inverse_iteration(op: SectorOperator, lams: np.ndarray) -> np.ndarray:
     """Real unit right eigenvectors, one LAPACK tridiagonal solve per eigenvalue.
 
-    Every diagonal entry carries the same i*h*M as every eigenvalue, so the
-    shifted band op.diag - lam is exactly real and so are the eigenvectors.
+    Every eigenvalue carries the operator's i*shift, so L - lam is the real
+    bands minus Re(lam), and the eigenvectors are real.
     Each column is a single dgtsv solve, on the bands divided by op.scale(),
     from one fixed start vector scaled by 2^-1000.  That start keeps the
     resolvent of this highly non-normal family inside the double range, and
@@ -188,7 +190,7 @@ def _inverse_iteration(op: SectorOperator, lams: np.ndarray) -> np.ndarray:
     b = (v0 / np.abs(v0).max() * 2.0**-1000)[:, None]
     # dgtsv takes the sub-, main and superdiagonal; op.upper lies below the diagonal
     scale = op.scale()
-    sub, diag, sup = op.upper.real / scale, op.diag.real / scale, op.lower.real / scale
+    sub, diag, sup = op.upper / scale, op.diag / scale, op.lower / scale
     V = np.empty((n, len(lams)))
     for idx, lam in enumerate(lams.real / scale):
         _, _, _, x, info = dgtsv(sub, diag - lam, sup, b)
@@ -214,8 +216,8 @@ def _check_bound(bound: float) -> None:
         raise ValueError(f"coalescence bound must lie in (0, 1), got {bound}")
 
 
-def _eigenvectors_to_precursor(op: SectorOperator, w: np.ndarray, bound: float) -> np.ndarray:
-    """Leading columns of _inverse_iteration(op, w), down to the precursor at bound.
+def _eigenvectors_to_precursor(op: SectorOperator, w: np.ndarray, bound: float) -> tuple[np.ndarray, np.ndarray]:
+    """Leading columns of _inverse_iteration(op, w), down to the precursor at bound, and their d_N.
 
     Blocks of columns are solved and appended (the first _FIRST_BLOCK, then
     doubling the total) until the first open doublet at bound and the
@@ -230,9 +232,10 @@ def _eigenvectors_to_precursor(op: SectorOperator, w: np.ndarray, bound: float) 
         if stop == n - 1:
             stop = n  # a one-column block is normalised by another summation order: take it along
         V = np.hstack([V, _inverse_iteration(op, w[k:stop])])
-        if _first_open_doublet(_distances(V), bound) + 1 < stop:
+        d = _distances(V)
+        if _first_open_doublet(d, bound) + 1 < stop:
             break
-    return V
+    return V, d
 
 
 def diagonalize(op: SectorOperator, method: str = "auto", bound: float | None = None) -> SpectralDecomposition:
@@ -254,6 +257,7 @@ def diagonalize(op: SectorOperator, method: str = "auto", bound: float | None = 
         if method == "qr":
             raise ValueError("a coalescence bound needs method 'auto'")
         _check_bound(bound)
+    d = None
     try:
         if method == "qr":
             w, V = np.linalg.eig(op.to_dense())
@@ -271,7 +275,7 @@ def diagonalize(op: SectorOperator, method: str = "auto", bound: float | None = 
             elif bound is None:
                 V = _inverse_iteration(op, w)
             else:
-                V = _eigenvectors_to_precursor(op, w, bound)
+                V, d = _eigenvectors_to_precursor(op, w, bound)
     except np.linalg.LinAlgError as exc:
         raise _sector_error(str(exc), sec) from exc
     return SpectralDecomposition(
@@ -281,6 +285,7 @@ def diagonalize(op: SectorOperator, method: str = "auto", bound: float | None = 
         residual_norms=np.linalg.norm(op.matvec(V) - V * w[: V.shape[1]], axis=0),
         operator_scale=op.scale(),
         method=method,
+        distances=d,
     )
 
 
@@ -301,9 +306,9 @@ def pair_distances(dec: SpectralDecomposition) -> np.ndarray:
     """Consecutive distances d_N = 1 - |<N+1|N>| over the computed eigenvectors; 0 means coalesced.
 
     N runs over 0 .. dim-2, or over the leading columns of a decomposition
-    built with a bound.
+    built with a bound.  It is the decomposition's read-only distances array.
     """
-    return _distances(dec.right_eigenvectors)
+    return dec.distances
 
 
 def doublet_members(d: np.ndarray, bound: float) -> np.ndarray:

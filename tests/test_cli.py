@@ -60,6 +60,10 @@ def test_parse_initial():
     assert kw["theta"] == 1.5
     with pytest.raises(ValueError):
         parse_initial("wigner:x=1")
+    # a key the selector does not take is an error, not a silent default
+    for spec in ("coherent:theta=1:zeta=3", "fock:m=top:k=3", "hp-doublet:a=0:b=1/6:c=9"):
+        with pytest.raises(ValueError, match="takes no key"):
+            parse_initial(spec)
 
 
 def test_parse_float_list_fractions():
@@ -158,6 +162,23 @@ def test_flag_the_command_does_not_read_is_usage_error(tmp_path, capsys, argv):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv,cfg,unread", [
+    (["scaling", "--two-j", "8", "--p", "0.5"], "m=3\ntimes=lin:0:1:2\n", "m, times"),
+    (["spectrum", "--two-j", "4", "--p", "0.5"], "gamma_bound=5\n", "gamma_bound"),
+    (["spectrum", "--two-j", "4", "--p", "0.5"], "gama=2\n", "gama"),
+    (["spectrum", "--two-j", "4", "--p", "0.5"], "lambda_c_per_j=-0.1\n", "lambda_c_per_j"),
+    (["scaling", "--two-j", "8", "--p", "0.5"], "doublet_threshold=1e-6\n", "doublet_threshold"),
+    (["evolve", "--two-j", "4", "--initial", "fock:m=top"], "cross_check_max_two_j=4\nm=0\n", "m"),
+], ids=["scaling-m-times", "spectrum-gamma_bound", "spectrum-typo", "spectrum-lambda_c", "scaling-threshold",
+        "evolve-m"])
+def test_config_key_the_command_does_not_read_is_usage_error(tmp_path, capsys, argv, cfg, unread):
+    (tmp_path / "run.cfg").write_text(cfg, encoding="utf-8")
+    rc = main(argv + ["--config", str(tmp_path / "run.cfg"), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert one_line_error(capsys).endswith(f"does not read config key(s) {unread}\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_scaling_bounded_eigenvectors_give_the_full_bytes(tmp_path, monkeypatch):
     # eigenvectors only down to the deepest precursor must not move a byte of any output;
     # 2j = 320 is the size whose first 64-column block already holds the precursor
@@ -194,6 +215,8 @@ def test_spectrum_empty_sweep_is_usage_error():
     rc = main(["spectrum", "--two-j", "4", "--p", "0.5", "--m", "", "--out", "/tmp/spinbath-empty"])
     assert rc == 2
     rc = main(["scaling", "--two-j", "8", "--p", "0.5", "--gamma-bound", "", "--out", "/tmp/spinbath-empty"])
+    assert rc == 2
+    rc = main(["evolve", "--two-j", "", "--initial", "fock:m=top", "--out", "/tmp/spinbath-empty"])
     assert rc == 2
 
 
@@ -344,16 +367,23 @@ def test_verify_command_passes(capsys):
 
 
 def test_verify_catches_mutated_builder(capsys, monkeypatch):
-    # a corrupted sector builder must trip the oracle-equivalence checks
+    # a corrupted sector builder must trip the oracle checks: wrong bands, or only a wrong shift;
+    # a sign-flipped shift swaps the spectra of M and -M, so the closed forms catch it, not the union
+    import dataclasses
+
     import spinbath.verification as verification
-    from spinbath.liouvillian import SectorOperator, build_sector
+    from spinbath.liouvillian import build_sector
 
-    def broken(params, M):
-        op = build_sector(params, M)
-        return SectorOperator(sector=op.sector, diag=op.diag + 1e-3, upper=op.upper, lower=op.lower)
+    for field, mutate, failing in (
+        ("diag", lambda op: op.diag + 1e-3, "bruteforce-oracle-equivalence"),
+        ("shift", lambda op: -op.shift, "o3-closed-form"),
+    ):
+        def broken(params, M):
+            op = build_sector(params, M)
+            return dataclasses.replace(op, **{field: mutate(op)})
 
-    monkeypatch.setattr(verification, "build_sector", broken)
-    rc = main(["verify"])
-    out = capsys.readouterr().out
-    assert rc == 1
-    assert "FAIL bruteforce-oracle-equivalence" in out
+        monkeypatch.setattr(verification, "build_sector", broken)
+        rc = main(["verify"])
+        out = capsys.readouterr().out
+        assert rc == 1
+        assert f"FAIL {failing}" in out

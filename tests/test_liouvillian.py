@@ -22,7 +22,12 @@ def test_sector_diag_p1_j1():
 
 def test_sector_weak_symmetry_phase():
     op = build_sector(ModelParams(two_j=2, h=1.0, gamma=1.0, p=0.0), 1)
-    assert np.allclose(op.diag.imag, 1.0, atol=1e-14)
+    assert op.shift == 1.0
+    assert np.allclose(np.diagonal(op.to_dense()).imag, 1.0, atol=1e-14)
+    # real float64 bands; the phase h*M is the one scalar shift, also for h < 0 and M < 0
+    op = build_sector(ModelParams(two_j=7, h=-0.7, gamma=1.3, p=0.4), -3)
+    assert [a.dtype for a in (op.diag, op.upper, op.lower)] == [np.float64] * 3
+    assert op.shift == -0.7 * -3
 
 
 def test_corner_sector_is_scalar():
@@ -109,9 +114,10 @@ def test_hermiticity_covariance_bands():
     for M in (1, 4, 9):
         a = build_sector(params, M)
         b = build_sector(params, -M)
-        assert np.allclose(b.diag, np.conj(a.diag), atol=1e-14)
-        assert np.allclose(b.upper, np.conj(a.upper), atol=1e-14)
-        assert np.allclose(b.lower, np.conj(a.lower), atol=1e-14)
+        assert np.allclose(b.diag, a.diag, atol=1e-14)
+        assert np.allclose(b.upper, a.upper, atol=1e-14)
+        assert np.allclose(b.lower, a.lower, atol=1e-14)
+        assert b.shift == -a.shift
 
 
 def test_matvec_agrees_with_dense():

@@ -28,7 +28,7 @@ def test_scalar_sector():
     dec = sp.diagonalize(op)
     assert dec.dim == 1
     assert dec.right_eigenvectors.dtype == np.float64
-    assert dec.eigenvalues[0] == pytest.approx(op.diag[0])
+    assert dec.eigenvalues[0] == pytest.approx(op.diag[0] + 1j * op.shift)
 
 
 def test_ordering_descending_real():
@@ -158,6 +158,7 @@ def test_eigenvector_distance_is_pair_distances_entry(two_j, p, M):
     # one d_N formula: the single-pair accessor must agree to the last bit
     dec = dec_for(two_j, p, M)
     d = sp.pair_distances(dec)
+    assert d is sp.pair_distances(dec) and not d.flags.writeable  # computed once, shared read-only
     assert [sp.eigenvector_distance(dec, N) for N in range(dec.dim - 1)] == d.tolist()
 
 
@@ -342,7 +343,7 @@ def test_triangular_spectrum_equals_diagonal():
     for p in (1.0, -1.0):
         op = build_sector(ModelParams(two_j=24, p=p), -3)
         dec = sp.diagonalize(op)
-        assert multiset_match_error(dec.eigenvalues, op.diag) < 1e-9
+        assert multiset_match_error(dec.eigenvalues, op.diag + 1j * op.shift) < 1e-9
 
 
 def test_kernel_dimension_at_doublet():
@@ -364,9 +365,10 @@ def test_eigenvalues_only_rejects_mixed_sign_bands():
     sec = sector_basis(ModelParams(two_j=4), 0)
     op = SectorOperator(
         sector=sec,
-        diag=-np.arange(1.0, 6.0).astype(complex),
-        upper=np.ones(4, dtype=complex),
-        lower=np.array([1.0, -1.0, 1.0, 1.0], dtype=complex),
+        diag=-np.arange(1.0, 6.0),
+        upper=np.ones(4),
+        lower=np.array([1.0, -1.0, 1.0, 1.0]),
+        shift=0.0,
     )
     with pytest.raises(sp.EigensolverError, match="mixed sign"):
         sp.eigenvalues_only(op)
