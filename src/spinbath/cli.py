@@ -35,12 +35,11 @@ from .verification import run_all_checks
 
 __all__ = ["main", "cmd_spectrum", "cmd_scaling", "cmd_evolve", "cmd_verify"]
 
+# defaults shared by spectrum, scaling and evolve; each command adds its own in build_parser
 DEFAULTS = {
     "h": "1",
     "gamma": "1",
     "gamma0": "0",
-    "doublet_threshold": "1e-6",
-    "lambda_c_per_j": "-0.133975",
     "jobs": "1",
 }
 
@@ -50,14 +49,15 @@ class UsageError(ValueError):
 
 
 def _config_from(args) -> dict:
-    cfg = dict(DEFAULTS)
+    keys = args.config_defaults  # every key the command reads, with its default or None
+    cfg = {key: val for key, val in keys.items() if val is not None}
     if args.config:
         file_cfg = read_config(args.config)
-        unread = sorted(set(file_cfg) - args.config_keys)
+        unread = sorted(set(file_cfg) - set(keys))
         if unread:
             raise UsageError(f"{args.command} does not read config key(s) {', '.join(unread)}")
         cfg.update(file_cfg)
-    for key in args.config_keys:
+    for key in keys:
         val = getattr(args, key, None)
         if val is not None:
             cfg[key] = val
@@ -103,9 +103,13 @@ def cmd_spectrum(args) -> int:
     if too_big:
         raise UsageError(f"sector M={too_big[0]} exceeds the largest 2j={max(two_js)}")
 
-    # an M that fits only the larger sizes is skipped for the smaller ones
-    tasks = [(two_j, p, M) for two_j in two_js for p in ps
-             for M in (range(-two_j, two_j + 1) if ms is None else ms) if abs(M) <= two_j]
+    tasks = []
+    for two_j in two_js:
+        for p in ps:
+            # an M that fits only the larger sizes is skipped for this one
+            for M in range(-two_j, two_j + 1) if ms is None else ms:
+                if abs(M) <= two_j:
+                    tasks.append((two_j, p, M))
 
     def work(task):
         two_j, p, M = task
@@ -126,15 +130,19 @@ def cmd_spectrum(args) -> int:
         rows,
     )
     # scatter of (Re/j, Im) colored by doublet membership at the threshold
-    points = {True: ([], []), False: ([], [])}
+    doublet_x, doublet_y, other_x, other_y = [], [], [], []
     for chunk, members in results:
         for row, member in zip(chunk, members):
-            xs, ys = points[bool(member)]
-            xs.append(row[7] / (row[0] / 2))
-            ys.append(row[8])
+            two_j, re, im = row[0], row[7], row[8]
+            if member:
+                doublet_x.append(re / (two_j / 2))
+                doublet_y.append(im)
+            else:
+                other_x.append(re / (two_j / 2))
+                other_y.append(im)
     svg_scatter(
         os.path.join(out, "spectrum.svg"),
-        [("coalesced pairs", *points[True]), ("isolated", *points[False])],
+        [("coalesced pairs", doublet_x, doublet_y), ("isolated", other_x, other_y)],
         xlabel="Re(lambda)/j",
         ylabel="Im(lambda)",
         title="Liouvillian spectrum",
@@ -236,10 +244,13 @@ def cmd_evolve(args) -> int:
         for two_j in two_js:
             params = _params(cfg, two_j, p)
             res = dyn.slowdown_experiment(params, kw["a"], kw["b"], times)
-            trace_rows += [[t, v, two_j, p, "delta_jz_numeric"] for t, v in zip(res.numeric.times, res.numeric.values)]
-            trace_rows += [[t, v, two_j, p, "delta_jz_theory"] for t, v in zip(res.theory.times, res.theory.values)]
+            for t, v in zip(res.numeric.times, res.numeric.values):
+                trace_rows.append([t, v, two_j, p, "delta_jz_numeric"])
+            for t, v in zip(res.theory.times, res.theory.values):
+                trace_rows.append([t, v, two_j, p, "delta_jz_theory"])
             dev = (res.numeric.values - res.theory.values) / res.theory.values
-            extra_rows += [[t, v, two_j, p, "relative_deviation"] for t, v in zip(times, dev)]
+            for t, v in zip(times, dev):
+                extra_rows.append([t, v, two_j, p, "relative_deviation"])
             mid_devs.append(abs(dev[len(times) // 2]))
             groups.append((f"numeric j={two_j/2:g}", times, res.numeric.values))
             groups.append((f"theory j={two_j/2:g}", times, res.theory.values))
@@ -253,9 +264,10 @@ def cmd_evolve(args) -> int:
             raise ValueError("coherent-state oscillation run requires p=0")
         params0 = _params(cfg, two_js[0], 0.0)
         curves = dyn.btc_experiment(params0, two_js, times,
-                                    cross_check_max_two_j=int(cfg.get("cross_check_max_two_j", 0)))
+                                    cross_check_max_two_j=int(cfg["cross_check_max_two_j"]))
         for two_j, tr in curves.items():
-            trace_rows += [[t, v, two_j, 0.0, "jx_over_j"] for t, v in zip(tr.times, tr.values)]
+            for t, v in zip(tr.times, tr.values):
+                trace_rows.append([t, v, two_j, 0.0, "jx_over_j"])
             groups.append((f"j={two_j/2:g}", tr.times, tr.values))
         svg_lines(os.path.join(out, "oscillations.svg"), groups, xlabel="t", ylabel="<Jx>/j",
                   title="undamped oscillations toward the large-j limit")
@@ -267,8 +279,10 @@ def cmd_evolve(args) -> int:
             states = dyn.propagate(params, rho0, times)
             svals = [dyn.entropy(s) for s in states]
             jzvals = [dyn.expectation(s, "jz") for s in states]
-            trace_rows += [[t, v, two_j, p, "entropy"] for t, v in zip(times, svals)]
-            trace_rows += [[t, v, two_j, p, "jz"] for t, v in zip(times, jzvals)]
+            for t, v in zip(times, svals):
+                trace_rows.append([t, v, two_j, p, "entropy"])
+            for t, v in zip(times, jzvals):
+                trace_rows.append([t, v, two_j, p, "jz"])
             groups.append((f"S(t) j={two_j/2:g}", times, np.asarray(svals)))
             extra_rows.append([times[-1], math.log(two_j + 1), two_j, p, "entropy_upper_bound"])
         svg_lines(os.path.join(out, "entropy.svg"), groups, xlabel="t", ylabel="S", title="entropy growth")
@@ -301,20 +315,20 @@ def build_parser() -> argparse.ArgumentParser:
         description="Spectra and dynamics of a dissipative collective spin in a polarized bath",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-    # each subcommand registers only the flags it reads; --config may hold only those
-    # flags' keys, h, gamma, gamma0 and the command's own config-only keys
-    for name, fn, help_, own_flags, own_keys in (
+    # each subcommand registers only the flags it reads; --config may set only those
+    # flags' keys, the DEFAULTS keys and the command's own config-only keys
+    for name, fn, help_, own_flags, own_defaults in (
         ("spectrum", cmd_spectrum, "emit sector spectra and a scatter plot", [
             ("--m", "list of sectors M (default: all); |M| may not exceed the largest 2j, "
                     "and an M too large for a smaller 2j is skipped there"),
-        ], ["doublet_threshold"]),
+        ], {"doublet_threshold": "1e-6"}),
         ("scaling", cmd_scaling, "doublet/precursor finite-size scaling data and fits", [
             ("--gamma-bound", "list of coalescence bounds"),
-        ], ["lambda_c_per_j"]),
+        ], {"lambda_c_per_j": "-0.133975"}),
         ("evolve", cmd_evolve, "time evolution experiments (slow-down, oscillations, entropy)", [
             ("--times", "time grid lin:START:STOP:NUM or log:START:STOP:NUM"),
             ("--initial", "initial state: hp-doublet:a=..:b=.. | fock:m=.. | coherent:theta=..:phi=.."),
-        ], ["cross_check_max_two_j"]),
+        ], {"cross_check_max_two_j": "0"}),
         ("verify", cmd_verify, "run the invariant suite and report pass/fail", None, None),
     ):
         p = sub.add_parser(name, help=help_)
@@ -328,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--two-j", dest="two_j", help="list of 2j values, e.g. '40 80 160'"),
             p.add_argument("--p", help="list of polarizations, e.g. '0 0.5 0.99'"),
         ] + [p.add_argument(flag, help=flag_help) for flag, flag_help in own_flags]
-        p.set_defaults(config_keys={"h", "gamma", "gamma0", *own_keys, *(a.dest for a in flags)})
+        p.set_defaults(config_defaults={**{a.dest: None for a in flags}, **DEFAULTS, **own_defaults})
     return ap
 
 

@@ -88,7 +88,7 @@ class SpectralDecomposition:
     eigenvalues always hold all dim values; built with a bound (see
     diagonalize), right_eigenvectors and residual_norms may hold only the
     leading columns, fewer than dim.  distances holds their d_N (see
-    pair_distances), read-only and computed once when not passed in.
+    pair_distances), computed once from right_eigenvectors and read-only.
     """
 
     sector: "object"
@@ -97,10 +97,10 @@ class SpectralDecomposition:
     residual_norms: np.ndarray
     operator_scale: float
     method: str
-    distances: np.ndarray | None = None
+    distances: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        d = _distances(self.right_eigenvectors) if self.distances is None else self.distances
+        d = _distances(self.right_eigenvectors)
         d.flags.writeable = False
         object.__setattr__(self, "distances", d)
 
@@ -216,8 +216,8 @@ def _check_bound(bound: float) -> None:
         raise ValueError(f"coalescence bound must lie in (0, 1), got {bound}")
 
 
-def _eigenvectors_to_precursor(op: SectorOperator, w: np.ndarray, bound: float) -> tuple[np.ndarray, np.ndarray]:
-    """Leading columns of _inverse_iteration(op, w), down to the precursor at bound, and their d_N.
+def _eigenvectors_to_precursor(op: SectorOperator, w: np.ndarray, bound: float) -> np.ndarray:
+    """Leading columns of _inverse_iteration(op, w), down to the precursor at bound.
 
     Blocks of columns are solved and appended (the first _FIRST_BLOCK, then
     doubling the total) until the first open doublet at bound and the
@@ -232,10 +232,9 @@ def _eigenvectors_to_precursor(op: SectorOperator, w: np.ndarray, bound: float) 
         if stop == n - 1:
             stop = n  # a one-column block is normalised by another summation order: take it along
         V = np.hstack([V, _inverse_iteration(op, w[k:stop])])
-        d = _distances(V)
-        if _first_open_doublet(d, bound) + 1 < stop:
+        if _first_open_doublet(_distances(V), bound) + 1 < stop:
             break
-    return V, d
+    return V
 
 
 def diagonalize(op: SectorOperator, method: str = "auto", bound: float | None = None) -> SpectralDecomposition:
@@ -257,7 +256,6 @@ def diagonalize(op: SectorOperator, method: str = "auto", bound: float | None = 
         if method == "qr":
             raise ValueError("a coalescence bound needs method 'auto'")
         _check_bound(bound)
-    d = None
     try:
         if method == "qr":
             w, V = np.linalg.eig(op.to_dense())
@@ -275,7 +273,7 @@ def diagonalize(op: SectorOperator, method: str = "auto", bound: float | None = 
             elif bound is None:
                 V = _inverse_iteration(op, w)
             else:
-                V, d = _eigenvectors_to_precursor(op, w, bound)
+                V = _eigenvectors_to_precursor(op, w, bound)
     except np.linalg.LinAlgError as exc:
         raise _sector_error(str(exc), sec) from exc
     return SpectralDecomposition(
@@ -285,7 +283,6 @@ def diagonalize(op: SectorOperator, method: str = "auto", bound: float | None = 
         residual_norms=np.linalg.norm(op.matvec(V) - V * w[: V.shape[1]], axis=0),
         operator_scale=op.scale(),
         method=method,
-        distances=d,
     )
 
 
