@@ -2,7 +2,8 @@
 static SVG plots, and the key=value run-configuration format.
 
 CSV is the data contract; SVG is convenience only.  Identical configurations
-must produce byte-identical CSV, so all formatting goes through fmt().
+must produce byte-identical CSV, so every cell is formatted by the one rule
+of fmt(), which write_csv applies a row at a time.
 """
 
 from __future__ import annotations
@@ -26,27 +27,43 @@ __all__ = [
 ]
 
 
+def _spec(kind: type) -> str | None:
+    """%-spec of a cell of this type, None for complex: the one rule behind fmt and write_csv."""
+    if issubclass(kind, complex):
+        return None
+    if issubclass(kind, (bool, np.bool_, int, np.integer)):
+        return "%d"  # a bool is 1 or 0
+    if issubclass(kind, (float, np.floating)):
+        return "%.17g"
+    return "%s"
+
+
 def fmt(x) -> str:
     """Stable scalar formatting: floats at 17 significant digits."""
-    if isinstance(x, (bool, np.bool_)):
-        return "1" if x else "0"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    if isinstance(x, (float, np.floating)):
-        return f"{float(x):.17g}"
-    if isinstance(x, complex):
-        return f"{x.real:.17g}{x.imag:+.17g}j"
-    return str(x)
+    spec = _spec(type(x))
+    return f"{x.real:.17g}{x.imag:+.17g}j" if spec is None else spec % (x,)
 
 
 def write_csv(path: str, header: list, rows) -> str:
-    """UTF-8 comma-separated file with a header row."""
+    """UTF-8 comma-separated file with a header row; each cell reads as fmt(cell).
+
+    Rows are formatted by one %-template per tuple of cell types.  A complex
+    cell has no single %-spec, so its row goes through fmt cell by cell; no
+    command writes one, but write_csv still equals fmt per cell for any input.
+    """
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    templates = {}
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(",".join(header) + "\n")
             for row in rows:
-                fh.write(",".join(fmt(x) for x in row) + "\n")
+                row = tuple(row)
+                kinds = tuple(map(type, row))
+                if kinds not in templates:
+                    specs = list(map(_spec, kinds))
+                    templates[kinds] = None if None in specs else ",".join(specs) + "\n"
+                line = templates[kinds]
+                fh.write(line % row if line else ",".join(map(fmt, row)) + "\n")
     except OSError as exc:
         raise OSError(f"cannot write CSV to {path}: {exc}") from exc
     return path
@@ -188,13 +205,18 @@ def _svg_plot(path, groups, marks, xlabel, ylabel, title, width, height):
     return path
 
 
+def _points(xs, ys, sx, sy):
+    """Plot coordinates of the points, mapped as arrays."""
+    return zip(sx(np.asarray(xs, float)).tolist(), sy(np.asarray(ys, float)).tolist())
+
+
 def _circles(xs, ys, sx, sy, color):
-    return [f'<circle cx="{sx(x):.2f}" cy="{sy(y):.2f}" r="2.2" fill="{color}" fill-opacity="0.75"/>'
-            for x, y in zip(xs, ys)]
+    circle = f'<circle cx="%.2f" cy="%.2f" r="2.2" fill="{color}" fill-opacity="0.75"/>'
+    return [circle % xy for xy in _points(xs, ys, sx, sy)]
 
 
 def _polyline(xs, ys, sx, sy, color):
-    pts = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(xs, ys))
+    pts = " ".join("%.2f,%.2f" % xy for xy in _points(xs, ys, sx, sy))
     return [f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>']
 
 

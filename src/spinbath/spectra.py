@@ -7,11 +7,11 @@ matrix, so the spectrum is {real value + i*shift} exactly and is obtained,
 fully converged, from the symmetric eigenproblem of the bands as they are.
 Every eigenvalue carries the same i*shift, so L - lambda is the real bands
 minus Re(lambda), and each eigenvector is one real LAPACK tridiagonal solve
-(dgtsv), i.e. a single inverse-iteration step from a fixed start vector.  Near
-a coalesced pair both shifts land on the common direction, which is precisely
-the physics the eigenvector distance d_N is meant to capture.  A dense QR path
-(numpy.linalg.eig) is kept for cross-validation at small j, where it is
-reliable.
+(dgtsv, one call per block of eigenvalues), i.e. a single inverse-iteration
+step from a fixed start vector.  Near a coalesced pair both shifts land on the
+common direction, which is precisely the physics the eigenvector distance d_N
+is meant to capture.  A dense QR path (numpy.linalg.eig) is kept for
+cross-validation at small j, where it is reliable.
 
 Each coalescence decision lives once, here: pair_distances is the one d_N
 formula (eigenvector_distance reads one entry of it), doublet_members the one
@@ -61,6 +61,9 @@ _INV_ITER_SEED = 12345
 
 # a bounded diagonalize solves this many columns first; each later block doubles the total
 _FIRST_BLOCK = 64
+
+# size cap (columns x dim) of one batched dgtsv system, so memory stays flat for any sector
+_SOLVE_ELEMENTS = 2**16
 
 
 class EigensolverError(RuntimeError):
@@ -170,36 +173,66 @@ def eigenvalues_only(op: SectorOperator) -> np.ndarray:
 
 
 def _inverse_iteration(op: SectorOperator, lams: np.ndarray) -> np.ndarray:
-    """Real unit right eigenvectors, one LAPACK tridiagonal solve per eigenvalue.
+    """Real unit right eigenvectors, one LAPACK tridiagonal solve per block of eigenvalues.
 
     Every eigenvalue carries the operator's i*shift, so L - lam is the real
     bands minus Re(lam), and the eigenvectors are real.
-    Each column is a single dgtsv solve, on the bands divided by op.scale(),
+    Each column solves the bands divided by op.scale(), shifted by its lam,
     from one fixed start vector scaled by 2^-1000.  That start keeps the
     resolvent of this highly non-normal family inside the double range, and
-    the division makes this window independent of gamma.  An exactly singular
-    shift (info > 0) is solved once more with the diagonal nudged by 1e-13
-    (relative to the scale); a second singular pivot, or a column that
+    the division makes this window independent of gamma.  Up to
+    _SOLVE_ELEMENTS // dim columns go to one dgtsv call as the block-diagonal
+    system of their shifted copies: the couplings between copies are 0, so
+    elimination never crosses a copy and each column is bitwise its own solve.
+    An exactly singular shift (info > 0 in column (info - 1) // dim) is solved
+    once more, alone, with its diagonal nudged by 1e-13 (relative to the
+    scale), and the columns after it start a smaller block, so dgtsv sees at
+    most 4 * dim * len(lams) rows even where every shift is singular
+    (p = +-1); a second singular pivot in that column, or a column that
     overflows or vanishes, raises EigensolverError.  Its count covers only the
-    eigenvalues lams passed in: a bounded diagonalize passes one block at a
-    time, so at 2j = 1280, M = 0 it reports 82 columns at p = 0.9 and 112 at
-    p = 0.99, where a full one reports 357 and 821.
+    eigenvalues lams passed in, and an overflow at the end of one copy turns
+    the next copy into NaN (0 * inf), so it can exceed the columns that
+    overflow on their own.  A bounded diagonalize passes one block at a time,
+    so at 2j = 1280, M = 0 it reports 103 columns at p = 0.9 and 154 at
+    p = 0.99, where a full one reports 380 and 864.
     """
     n = op.dim
     v0 = np.random.default_rng(_INV_ITER_SEED).standard_normal(n)
-    b = (v0 / np.abs(v0).max() * 2.0**-1000)[:, None]
-    # dgtsv takes the sub-, main and superdiagonal; op.upper lies below the diagonal
+    b = v0 / np.abs(v0).max() * 2.0**-1000
     scale = op.scale()
-    sub, diag, sup = op.upper / scale, op.diag / scale, op.lower / scale
+    diag, lam = op.diag / scale, lams.real / scale
+    k = max(1, min(len(lams), _SOLVE_ELEMENTS // n))
+    # k copies of each off-diagonal band, each closed by a zero coupling to the next copy;
+    # dgtsv takes the sub-, main and superdiagonal, and op.upper lies below the diagonal
+    sub, sup = (np.tile(np.append(band / scale, 0.0), k)[:-1] for band in (op.upper, op.lower))
+    rhs = np.tile(b, k)[:, None]
+
+    def solve(d):
+        return dgtsv(sub[: d.size - 1], d, sup[: d.size - 1], rhs[: d.size])[3:]
+
     V = np.empty((n, len(lams)))
-    for idx, lam in enumerate(lams.real / scale):
-        _, _, _, x, info = dgtsv(sub, diag - lam, sup, b)
+    start, m = 0, k
+    while start < len(lam):
+        m = min(m, len(lam) - start)
+        d = (diag - lam[start : start + m, None]).ravel()
+        x, info = solve(d)
+        if info == 0:
+            V[:, start : start + m] = x[:, 0].reshape(m, n).T
+            start, m = start + m, min(2 * m, k)
+            continue
+        # exactly singular shift in column c: the columns before it passed elimination, so they are
+        # solved again as one block (same bits), then column c alone, nudged off its eigenvalue
+        c = (info - 1) // n
+        if c:
+            x, _ = solve(d[: c * n])
+            V[:, start : start + c] = x[:, 0].reshape(c, n).T
+        x, info = solve(d[c * n : (c + 1) * n] + 1e-13)
         if info > 0:
-            # exactly singular shift: nudge off the eigenvalue
-            _, _, _, x, info = dgtsv(sub, diag - lam + 1e-13, sup, b)
-        if info > 0:
-            raise _sector_error(f"singular shift at eigenvalue {idx}", op.sector)
-        V[:, idx] = x[:, 0]
+            raise _sector_error(f"singular shift at eigenvalue {start + c}", op.sector)
+        V[:, start + c] = x[:, 0]
+        # the next block holds at most twice the columns just solved, and doubles after each
+        # clean solve: a failed call never copies more than twice the columns of the step before
+        start, m = start + c + 1, min(2 * (c + 1), k)
     hi, lo = V.max(axis=0), -V.min(axis=0)
     mx = np.maximum(hi, lo)
     bad = ~np.isfinite(mx) | (mx == 0.0)
@@ -221,8 +254,8 @@ def _eigenvectors_to_precursor(op: SectorOperator, w: np.ndarray, bound: float) 
 
     Blocks of columns are solved and appended (the first _FIRST_BLOCK, then
     doubling the total) until the first open doublet at bound and the
-    precursor after it are in, or every column is.  Each column is solved on
-    its own, so it is bitwise the column of the full solve.
+    precursor after it are in, or every column is.  No solve couples two
+    columns, so each column is bitwise the column of the full solve.
     """
     n = op.dim
     V = np.empty((n, 0))

@@ -41,21 +41,24 @@ def multiset_match_error(a, b) -> float:
     return float(cost[r, c].max())
 
 
-def _sector_union_eigs(params: ModelParams) -> np.ndarray:
-    out = [sp.eigenvalues_only(build_sector(params, M)) for M in range(-params.two_j, params.two_j + 1)]
-    return np.concatenate(out)
-
-
 def check_bruteforce_oracle() -> CheckResult:
-    worst = 0.0
+    worst = off_block = 0.0
     for two_j in (2, 3, 4):
         for p in (-1.0, -0.5, 0.0, 0.5, 1.0):
             for g0 in (0.0, 0.7):
                 params = ModelParams(two_j=two_j, h=1.0, gamma=1.0, gamma0=g0, p=p)
                 full = build_bruteforce(params)
-                err = multiset_match_error(full.eigenvalues(), _sector_union_eigs(params))
-                worst = max(worst, err)
-    return CheckResult("bruteforce-oracle-equivalence", worst <= 1e-10, worst, 1e-10)
+                outside = np.ones(full.matrix.shape, dtype=bool)
+                for M in range(-two_j, two_j + 1):
+                    block = np.ix_(full.sector_indices(M), full.sector_indices(M))
+                    outside[block] = False
+                    w = sp.eigenvalues_only(build_sector(params, M))
+                    worst = max(worst, multiset_match_error(np.linalg.eigvals(full.matrix[block]), w))
+                off_block = max(off_block, float(np.abs(full.matrix[outside]).max()))
+    return CheckResult("bruteforce-oracle-equivalence", worst <= 1e-10 and off_block == 0.0,
+                       max(worst, off_block), 1e-10,
+                       "each sector's spectrum against its own brute-force block; "
+                       "entries outside the blocks must be exactly 0")
 
 
 def check_unique_steady_state() -> CheckResult:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from spinbath.cli import main
+from spinbath.liouvillian import build_bruteforce
 from spinbath.output import (
     fmt,
     parse_float_list,
@@ -71,10 +72,12 @@ def test_parse_float_list_fractions():
 
 
 @pytest.mark.parametrize("argv,csvs", [
-    (["spectrum", "--two-j", "8", "--p", "0 0.5", "--m", "0 1"], ["spectra.csv"]),
+    (["spectrum", "--two-j", "8", "--p", "0 0.5", "--m", "0 1"], ["spectra.csv", "spectrum.svg"]),
+    # at 2j = 320 one dgtsv call holds fewer columns than the M = 0 sector has
+    (["spectrum", "--two-j", "320", "--p", "0.5", "--m", "0 7"], ["spectra.csv", "spectrum.svg"]),
     (["scaling", "--two-j", "8 12 16 20", "--p", "0.2 0.5", "--gamma-bound", "1e-4 1e-6"],
      ["doublet_eigenvalues.csv", "d1_decay.csv", "precursor.csv", "fits.csv"]),
-], ids=["spectrum", "scaling"])
+], ids=["spectrum", "spectrum-several-blocks", "scaling"])
 def test_spectrum_command_deterministic(tmp_path, argv, csvs):
     out1 = tmp_path / "a"
     out2 = tmp_path / "b"
@@ -86,9 +89,9 @@ def test_spectrum_command_deterministic(tmp_path, argv, csvs):
     for name in csvs:
         assert read(out1 / name) == read(out2 / name)
     if argv[0] == "spectrum":
-        header = read(out1 / "spectra.csv").splitlines()[0]
-        assert header == "two_j,p,gamma,gamma0,h,M,N,re_lambda,im_lambda,d_N"
-        assert (out1 / "spectrum.svg").exists()
+        lines = read(out1 / "spectra.csv").splitlines()
+        assert lines[0] == "two_j,p,gamma,gamma0,h,M,N,re_lambda,im_lambda,d_N"
+        assert read(out1 / "spectrum.svg").count("<circle ") == len(lines) - 1  # each eigenvalue drawn once
     else:
         assert any(line.startswith("d1_decay") for line in read(out1 / "fits.csv").splitlines())
 
@@ -348,6 +351,15 @@ def test_evolve_fock_m_beyond_j_is_error(tmp_path, capsys):
     assert not (tmp_path / "traces.csv").exists()
 
 
+@pytest.mark.parametrize("initial", ["wigner", "fock:m=top:k=3", "fock", "fock:m=abc"])
+def test_bad_initial_selector_is_usage_error(tmp_path, capsys, initial):
+    # an unknown selector or key, fock without m, or a value that is no number
+    rc = main(["evolve", "--two-j", "4", "--initial", initial, "--out", str(tmp_path / "out")])
+    assert rc == 2
+    one_line_error(capsys)
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_file_with_flag_override(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("two_j=8\np=0\nm=0\nout=" + str(tmp_path / "cfgout") + "\n", encoding="utf-8")
@@ -366,17 +378,35 @@ def test_verify_command_passes(capsys):
     assert "unique-zero-eigenvalue" in out
 
 
+def test_bruteforce_oracle_sees_coupled_sectors(monkeypatch):
+    # an entry coupling sectors M = 0 and M = -1, far too small to move an eigenvalue, still fails
+    import dataclasses
+
+    import spinbath.verification as verification
+
+    def coupled(params):
+        full = build_bruteforce(params)
+        matrix = full.matrix.copy()
+        matrix[0, 1] = 1e-30
+        return dataclasses.replace(full, matrix=matrix)
+
+    monkeypatch.setattr(verification, "build_bruteforce", coupled)
+    result = verification.check_bruteforce_oracle()
+    assert not result.passed
+    assert result.measured <= 1e-10
+
+
 def test_verify_catches_mutated_builder(capsys, monkeypatch):
     # a corrupted sector builder must trip the oracle checks: wrong bands, or only a wrong shift;
-    # a sign-flipped shift swaps the spectra of M and -M, so the closed forms catch it, not the union
+    # a sign-flipped shift swaps the spectra of M and -M, which only a per-sector comparison sees
     import dataclasses
 
     import spinbath.verification as verification
     from spinbath.liouvillian import build_sector
 
     for field, mutate, failing in (
-        ("diag", lambda op: op.diag + 1e-3, "bruteforce-oracle-equivalence"),
-        ("shift", lambda op: -op.shift, "o3-closed-form"),
+        ("diag", lambda op: op.diag + 1e-3, ["bruteforce-oracle-equivalence"]),
+        ("shift", lambda op: -op.shift, ["o3-closed-form", "bruteforce-oracle-equivalence"]),
     ):
         def broken(params, M):
             op = build_sector(params, M)
@@ -386,4 +416,5 @@ def test_verify_catches_mutated_builder(capsys, monkeypatch):
         rc = main(["verify"])
         out = capsys.readouterr().out
         assert rc == 1
-        assert f"FAIL {failing}" in out
+        for name in failing:
+            assert f"FAIL {name}" in out

@@ -1,8 +1,13 @@
+import math
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
+from hypothesis import given
+from hypothesis import strategies as st
 
-from spinbath.output import svg_lines, svg_scatter
+from spinbath.output import fmt, svg_lines, svg_scatter, write_csv
 
 GROUPS = [
     ("a", [0.0, 1.0, 2.0], [1.0, 4.0, 9.0]),
@@ -23,6 +28,9 @@ def legend(path):
 def test_svg_scatter_one_circle_per_point(tmp_path):
     path = svg_scatter(str(tmp_path / "s.svg"), GROUPS, xlabel="x", ylabel="y", title="t")
     assert len(tags(path, "circle")) == sum(len(g[1]) for g in GROUPS)
+    # x spans 0 .. 3 and y 0 .. 9 inside the 48 px margins of the 640 x 480 frame
+    cx_cy = [re.search(r'cx="([^"]*)" cy="([^"]*)"', t).groups() for t in tags(path, "circle")]
+    assert cx_cy[0] == ("48.00", "389.33") and cx_cy[2] == ("410.67", "48.00") and cx_cy[-1] == ("592.00", "432.00")
     assert tags(path, "polyline") == []
     assert len(legend(path)) == len(GROUPS)
 
@@ -34,3 +42,43 @@ def test_svg_lines_one_polyline_per_group(tmp_path):
     assert [len(re.search(r'points="([^"]*)"', t).group(1).split()) for t in lines] == [3, 2, 1]
     assert tags(path, "circle") == []
     assert len(legend(path)) == len(GROUPS)
+
+
+EDGE_FLOATS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -2.225073858507201e-308, 1 / 3, 1e300]
+FLOATS = st.one_of(st.floats(allow_subnormal=True), st.sampled_from(EDGE_FLOATS))
+CELLS = [
+    FLOATS,
+    FLOATS.map(np.float64),
+    st.integers(),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.booleans(),
+    st.booleans().map(np.bool_),
+    st.text(st.characters(blacklist_categories=("Cs",))),
+    st.complex_numbers(),
+]
+
+
+def reference_fmt(x) -> str:
+    """fmt as a chain of type tests, the form it had before cells were formatted by %-spec."""
+    if isinstance(x, (bool, np.bool_)):
+        return "1" if x else "0"
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    if isinstance(x, (float, np.floating)):
+        return f"{float(x):.17g}"
+    if isinstance(x, complex):
+        return f"{x.real:.17g}{x.imag:+.17g}j"
+    return str(x)
+
+
+@given(st.data())
+def test_write_csv_is_fmt_per_cell(data):
+    # rows share a few tuples of cell types, so each row template is used for several rows
+    kinds = data.draw(st.lists(st.lists(st.sampled_from(CELLS), max_size=6), min_size=1, max_size=3))
+    rows = data.draw(st.lists(st.sampled_from(kinds).flatmap(lambda row: st.tuples(*row)), max_size=12))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_csv(str(Path(tmp) / "x.csv"), ["a", "b"], [list(r) for r in rows])
+        written = Path(path).read_bytes()
+    expected = "a,b\n" + "".join(",".join(map(fmt, row)) + "\n" for row in rows)
+    assert written == expected.encode("utf-8")
+    assert [list(map(fmt, row)) for row in rows] == [list(map(reference_fmt, row)) for row in rows]

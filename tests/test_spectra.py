@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dgtsv
 
 from spinbath import spectra as sp
 from spinbath.liouvillian import SectorOperator, build_sector
@@ -68,6 +69,89 @@ def test_repeated_singular_solve_raises(monkeypatch):
     monkeypatch.setattr(sp, "dgtsv", singular)
     with pytest.raises(sp.EigensolverError, match=r"singular shift .*two_j=8, M=2"):
         dec_for(8, 0.5, 2)
+
+
+def per_column_eigenvectors(op, nudged=()):
+    """The loop the batched solve replaced: one dgtsv call per eigenvalue, the same normalisation.
+
+    A column in nudged is solved with its diagonal nudged by 1e-13 from the start.
+    """
+    n, lams = op.dim, sp.eigenvalues_only(op)
+    v0 = np.random.default_rng(sp._INV_ITER_SEED).standard_normal(n)
+    b = (v0 / np.abs(v0).max() * 2.0**-1000)[:, None]
+    scale = op.scale()
+    sub, diag, sup = op.upper / scale, op.diag / scale, op.lower / scale
+    V = np.empty((n, n))
+    for idx, lam in enumerate(lams.real / scale):
+        _, _, _, x, info = dgtsv(sub, diag - lam + 1e-13 if idx in nudged else diag - lam, sup, b)
+        if info > 0:
+            _, _, _, x, info = dgtsv(sub, diag - lam + 1e-13, sup, b)
+        assert info == 0
+        V[:, idx] = x[:, 0]
+    hi, lo = V.max(axis=0), -V.min(axis=0)
+    V *= np.where(hi >= lo, 1.0, -1.0) / np.maximum(hi, lo)
+    V /= np.sqrt(np.einsum("ij,ij->j", V, V))
+    return V
+
+
+@pytest.mark.parametrize("two_j,p", [(320, p) for p in (-1.0, 0.0, 0.5, 0.999, 1.0)]
+                         + [(640, p) for p in (0.0, 0.5, 0.999, 1.0)])
+def test_batched_solve_is_per_column_solve(monkeypatch, two_j, p):
+    # one dgtsv call solves a block of eigenvalues; with zero couplings between the copies every
+    # column is bitwise its own solve, the nudged ones at p = +-1 included; these sectors span
+    # several blocks (at p = -1, 2j = 640 a shift stays singular after the nudge: the sector raises)
+    op = build_sector(ModelParams(two_j=two_j, p=p), 0)
+    assert op.dim > sp._SOLVE_ELEMENTS // op.dim
+    rows = []
+
+    def counting(dl, d, du, b):
+        rows.append(len(d))
+        return dgtsv(dl, d, du, b)
+
+    monkeypatch.setattr(sp, "dgtsv", counting)
+    V = sp.diagonalize(op).right_eigenvectors
+    assert V.tobytes() == per_column_eigenvectors(op).tobytes()
+    # at p = +-1 every shift is singular, and still the rows passed stay linear in the columns
+    assert sum(rows) <= 4 * op.dim**2
+
+
+@pytest.mark.parametrize("row", [1, 641])
+def test_singular_pivot_nudges_only_its_column(monkeypatch, row):
+    op = build_sector(ModelParams(two_j=640, p=0.5), 0)
+    n = op.dim
+    k = sp._SOLVE_ELEMENTS // n
+    col = 2 * k + k // 2  # a middle column of the third block
+    sizes = []
+
+    def singular_once(dl, d, du, b):
+        sizes.append(len(d))
+        out = dgtsv(dl, d, du, b)
+        # the first solve of the third block reports a singular pivot in the first or last row
+        # of that column (info counts rows from 1)
+        return out[:4] + ((k // 2) * n + row,) if len(sizes) == 3 else out
+
+    monkeypatch.setattr(sp, "dgtsv", singular_once)
+    V = sp.diagonalize(op).right_eigenvectors
+    rest = n - (col + 1)
+    # two full blocks, the third one up to the singular column, its columns before that column,
+    # that column alone, then full blocks again
+    assert sizes == [k * n] * 3 + [(k // 2) * n, n] + [k * n] * (rest // k) + [(rest % k) * n]
+    plain = per_column_eigenvectors(op)
+    assert V.tobytes() == per_column_eigenvectors(op, nudged={col}).tobytes()
+    assert not np.array_equal(V[:, col], plain[:, col])
+    assert np.delete(V, col, axis=1).tobytes() == np.delete(plain, col, axis=1).tobytes()
+
+
+def test_eigenvector_overflow_sectors():
+    # at 2j = 1280 the one-solve resolvent leaves the double range from p = 0.9 on, in M = 0 and
+    # its neighbours alike; batching the solves neither adds nor removes a failing sector
+    for p in (0.7, 0.9, 0.99, 0.999, 1.0):
+        for M in (0, 1, -2):
+            if p < 0.9:
+                sp.diagonalize(build_sector(ModelParams(two_j=1280, p=p), M))
+            else:
+                with pytest.raises(sp.EigensolverError, match=rf"overflowed or vanished .*two_j=1280, M={M}\)"):
+                    sp.diagonalize(build_sector(ModelParams(two_j=1280, p=p), M))
 
 
 def test_eigenvector_overflow_raises():
