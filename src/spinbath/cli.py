@@ -1,11 +1,15 @@
 """Command-line front end: spectrum | scaling | evolve | verify.
 
-Configuration comes from an optional key=value file plus flags; flags win.
-Sweep points run on a bounded thread pool and are merged in configuration
-order, so identical configurations give byte-identical CSV regardless of
---jobs.  More threads are not always faster: `spectrum --two-j 80 --p
-"0 0.5 0.99"` runs 0.1-0.2 s slower with --jobs 2 than with --jobs 1 on
-2 CPUs.
+Every key a command reads is declared once, in its table in build_parser:
+its flag help (None for a config-only key), the function that parses its text
+and its default text.  Defaults, an optional key=value file and flags are
+merged in that order (flags win) and each value is parsed once, so the
+commands get typed values; a value its parser rejects is a usage error that
+names the key.  Sweep points of spectrum and scaling run on a bounded thread
+pool (--jobs) and are merged in configuration order, so identical
+configurations give byte-identical CSV regardless of --jobs.  More threads
+are not always faster: `spectrum --two-j 80 --p "0 0.5 0.99"` runs 0.1-0.2 s
+slower with --jobs 2 than with --jobs 1 on 2 CPUs.
 """
 
 from __future__ import annotations
@@ -37,46 +41,43 @@ from .verification import run_all_checks
 
 __all__ = ["main", "cmd_spectrum", "cmd_scaling", "cmd_evolve", "cmd_verify"]
 
-# defaults shared by spectrum, scaling and evolve; each command adds its own in build_parser
-DEFAULTS = {
-    "h": "1",
-    "gamma": "1",
-    "gamma0": "0",
-    "jobs": "1",
-}
-
 
 class UsageError(ValueError):
     """Input the command cannot run with: one error line and exit status 2."""
 
 
 def _config_from(args) -> dict:
-    keys = args.config_defaults  # every key the command reads, with its default or None
-    cfg = {key: val for key, val in keys.items() if val is not None}
+    """Parsed value of each key the command reads and that has a default, a config line or a flag."""
+    keys = args.keys
+    text = {key: default for key, (_, _, default) in keys.items() if default is not None}
     if args.config:
         file_cfg = read_config(args.config)
         unread = sorted(set(file_cfg) - set(keys))
         if unread:
             raise UsageError(f"{args.command} does not read config key(s) {', '.join(unread)}")
-        cfg.update(file_cfg)
-    for key in keys:
-        val = getattr(args, key, None)
-        if val is not None:
-            cfg[key] = val
-    cfg["jobs"] = int(cfg["jobs"])
-    if cfg["jobs"] < 1:
+        text.update(file_cfg)
+    text.update((key, getattr(args, key)) for key in keys if getattr(args, key, None) is not None)
+    if not set(args.needs) <= set(text):
+        raise UsageError(f"{args.command} needs " + " and ".join(_flag(key) for key in args.needs))
+    cfg = {}
+    for key, val in text.items():
+        try:
+            cfg[key] = keys[key][1](val)
+        except (ValueError, ArithmeticError) as exc:
+            raise UsageError(f"{key}: {exc}") from exc
+        if isinstance(cfg[key], list) and not cfg[key]:
+            raise UsageError("empty sweep list")
+    if cfg.get("jobs", 1) < 1:
         raise ValueError(f"jobs must be at least 1, got {cfg['jobs']}")
     return cfg
 
 
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
 def _params(cfg: dict, two_j: int, p: float) -> ModelParams:
-    return ModelParams(
-        two_j=int(two_j),
-        h=float(cfg["h"]),
-        gamma=float(cfg["gamma"]),
-        gamma0=float(cfg["gamma0"]),
-        p=float(p),
-    )
+    return ModelParams(two_j=two_j, h=cfg["h"], gamma=cfg["gamma"], gamma0=cfg["gamma0"], p=p)
 
 
 def _pool_map(jobs: int, fn, items):
@@ -86,21 +87,17 @@ def _pool_map(jobs: int, fn, items):
         return list(pool.map(fn, items))
 
 
+# leading CSV columns of every sweep row, the values of _provenance
+PROVENANCE = ["two_j", "p", "gamma", "gamma0", "h", "M"]
+
+
 def _provenance(params: ModelParams, M) -> list:
     return [params.two_j, params.p, params.gamma, params.gamma0, params.h, M]
 
 
 def cmd_spectrum(args) -> int:
     cfg = _config_from(args)
-    if "two_j" not in cfg or "p" not in cfg:
-        raise UsageError("spectrum needs --two-j and --p sweep lists")
-    two_js = parse_int_list(cfg["two_j"])
-    ps = parse_float_list(cfg["p"])
-    ms = parse_int_list(cfg["m"]) if "m" in cfg else None
-    if not two_js or not ps or ms == []:
-        raise UsageError("empty sweep list")
-    out = cfg.get("out", "out")
-    thr = float(cfg["doublet_threshold"])
+    two_js, ps, ms, out = cfg["two_j"], cfg["p"], cfg.get("m"), cfg["out"]
     too_big = [M for M in ms or [] if abs(M) > max(two_js)]
     if too_big:
         raise UsageError(f"sector M={too_big[0]} exceeds the largest 2j={max(two_js)}")
@@ -122,13 +119,13 @@ def cmd_spectrum(args) -> int:
         prov = _provenance(params, M)
         rows = [prov + [N, re, im, dN]
                 for N, (re, im, dN) in enumerate(zip(w.real.tolist(), w.imag.tolist(), d.tolist() + [math.nan]))]
-        return rows, (w.real / (two_j / 2), w.imag, sp.doublet_members(d, thr))
+        return rows, (w.real / (two_j / 2), w.imag, sp.doublet_members(d, cfg["doublet_threshold"]))
 
     results = _pool_map(cfg["jobs"], work, tasks)
     rows = [r for chunk, _ in results for r in chunk]
     csv_path = write_csv(
         os.path.join(out, "spectra.csv"),
-        ["two_j", "p", "gamma", "gamma0", "h", "M", "N", "re_lambda", "im_lambda", "d_N"],
+        PROVENANCE + ["N", "re_lambda", "im_lambda", "d_N"],
         rows,
     )
     # scatter of (Re/j, Im) colored by doublet membership at the threshold
@@ -146,15 +143,8 @@ def cmd_spectrum(args) -> int:
 
 def cmd_scaling(args) -> int:
     cfg = _config_from(args)
-    if "two_j" not in cfg or "p" not in cfg:
-        raise UsageError("scaling needs --two-j and --p lists")
-    two_js = sorted(parse_int_list(cfg["two_j"]))
-    ps = parse_float_list(cfg["p"])
-    gammas = parse_float_list(cfg["gamma_bound"]) if "gamma_bound" in cfg else [1e-4]
-    if not two_js or not ps or not gammas:
-        raise UsageError("empty sweep list")
-    out = cfg.get("out", "out")
-    lam_c_per_j = float(cfg["lambda_c_per_j"])
+    two_js, ps, gammas, out = sorted(cfg["two_j"]), cfg["p"], cfg["gamma_bound"], cfg["out"]
+    lam_c_per_j = cfg["lambda_c_per_j"]
     if not math.isfinite(lam_c_per_j):
         raise ValueError(f"lambda_c_per_j must be finite, got {lam_c_per_j}")
 
@@ -200,12 +190,10 @@ def cmd_scaling(args) -> int:
                 fit = sp.fit_power_law(xs, ys)
                 fit_rows.append(["precursor_scaling", p, gamma, fit.exponent, fit.prefactor, fit.r_squared, fit.n_points])
 
-    write_csv(os.path.join(out, "doublet_eigenvalues.csv"),
-              ["two_j", "p", "gamma", "gamma0", "h", "M", "re_lambda1", "re_lambda2"], doublet_rows)
-    write_csv(os.path.join(out, "d1_decay.csv"),
-              ["two_j", "p", "gamma", "gamma0", "h", "M", "d1"], d1_rows)
+    write_csv(os.path.join(out, "doublet_eigenvalues.csv"), PROVENANCE + ["re_lambda1", "re_lambda2"], doublet_rows)
+    write_csv(os.path.join(out, "d1_decay.csv"), PROVENANCE + ["d1"], d1_rows)
     write_csv(os.path.join(out, "precursor.csv"),
-              ["two_j", "p", "gamma", "gamma0", "h", "M", "gamma_bound", "re_lambda_star", "diff_per_j"], prec_rows)
+              PROVENANCE + ["gamma_bound", "re_lambda_star", "diff_per_j"], prec_rows)
     write_csv(os.path.join(out, "fits.csv"),
               ["series", "p", "gamma_bound", "exponent", "prefactor", "r_squared", "n_points"], fit_rows)
     if d1_groups:
@@ -217,21 +205,10 @@ def cmd_scaling(args) -> int:
 
 def cmd_evolve(args) -> int:
     cfg = _config_from(args)
-    if "two_j" not in cfg or "initial" not in cfg:
-        raise UsageError("evolve needs --two-j and --initial")
-    two_js = parse_int_list(cfg["two_j"])
-    if not two_js:
-        raise UsageError("empty sweep list")
-    ps = parse_float_list(cfg.get("p", "0"))
-    if len(ps) != 1:
+    if len(cfg["p"]) != 1:
         raise UsageError("evolve takes a single --p value")
-    p = ps[0]
-    times = parse_time_grid(cfg.get("times", "lin:0:3:61"))
-    out = cfg.get("out", "out")
-    try:
-        name, kw = parse_initial(cfg["initial"])
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    two_js, (p,), times, out = cfg["two_j"], cfg["p"], cfg["times"], cfg["out"]
+    name, kw = cfg["initial"]
     trace_rows, extra_rows = [], []
     groups = []
 
@@ -260,7 +237,7 @@ def cmd_evolve(args) -> int:
             raise ValueError("coherent-state oscillation run requires p=0")
         params0 = _params(cfg, two_js[0], 0.0)
         curves = dyn.btc_experiment(params0, two_js, times,
-                                    cross_check_max_two_j=int(cfg["cross_check_max_two_j"]))
+                                    cross_check_max_two_j=cfg["cross_check_max_two_j"], **kw)
         for two_j, tr in curves.items():
             for t, v in zip(tr.times, tr.values):
                 trace_rows.append([t, v, two_j, 0.0, "jx_over_j"])
@@ -311,34 +288,50 @@ def build_parser() -> argparse.ArgumentParser:
         description="Spectra and dynamics of a dissipative collective spin in a polarized bath",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-    # each subcommand registers only the flags it reads; --config may set only those
-    # flags' keys, the DEFAULTS keys and the command's own config-only keys
-    for name, fn, help_, own_flags, own_defaults in (
-        ("spectrum", cmd_spectrum, "emit sector spectra and a scatter plot", [
-            ("--m", "list of sectors M (default: all); |M| may not exceed the largest 2j, "
-                    "and an M too large for a smaller 2j is skipped there"),
-        ], {"doublet_threshold": "1e-6"}),
-        ("scaling", cmd_scaling, "doublet/precursor finite-size scaling data and fits", [
-            ("--gamma-bound", "list of coalescence bounds"),
-        ], {"lambda_c_per_j": "-0.133975"}),
-        ("evolve", cmd_evolve, "time evolution experiments (slow-down, oscillations, entropy)", [
-            ("--times", "time grid lin:START:STOP:NUM or log:START:STOP:NUM"),
-            ("--initial", "initial state: hp-doublet:a=..:b=.. | fock:m=.. | coherent:theta=..:phi=.."),
-        ], {"cross_check_max_two_j": "0"}),
-        ("verify", cmd_verify, "run the invariant suite and report pass/fail", None, None),
+    # every key a command reads: (flag help, or None for a config-only key; parser of its text;
+    # default text, or None for none); each key with help is a flag, and --config may set any key.
+    # needs: the keys without a default that the command cannot run without
+    shared = {
+        "out": ("output directory (default ./out)", str, "out"),
+        "two_j": ("list of 2j values, e.g. '40 80 160'", parse_int_list, None),
+        "p": ("list of polarizations, e.g. '0 0.5 0.99'", parse_float_list, None),
+        "h": (None, float, "1"),
+        "gamma": (None, float, "1"),
+        "gamma0": (None, float, "0"),
+    }
+    jobs = {"jobs": ("worker threads for sweeps", int, "1")}
+    for name, fn, help_, needs, keys in (
+        ("spectrum", cmd_spectrum, "emit sector spectra and a scatter plot", ("two_j", "p"), {
+            **shared, **jobs,
+            "m": ("list of sectors M (default: all); |M| may not exceed the largest 2j, "
+                  "and an M too large for a smaller 2j is skipped there", parse_int_list, None),
+            "doublet_threshold": (None, float, "1e-6"),
+        }),
+        ("scaling", cmd_scaling, "doublet/precursor finite-size scaling data and fits", ("two_j", "p"), {
+            **shared, **jobs,
+            "gamma_bound": ("list of coalescence bounds (default 1e-4)", parse_float_list, "1e-4"),
+            "lambda_c_per_j": (None, float, "-0.133975"),
+        }),
+        ("evolve", cmd_evolve, "time evolution experiments (slow-down, oscillations, entropy)",
+         ("two_j", "initial"), {
+            **shared,
+            "p": ("polarization (default 0)", parse_float_list, "0"),
+            "times": ("time grid lin:START:STOP:NUM or log:START:STOP:NUM (default lin:0:3:61)",
+                      parse_time_grid, "lin:0:3:61"),
+            "initial": ("initial state: hp-doublet:a=..:b=.. | fock:m=.. | coherent:theta=..:phi=..",
+                        parse_initial, None),
+            "cross_check_max_two_j": (None, int, "0"),
+        }),
+        ("verify", cmd_verify, "run the invariant suite and report pass/fail", (), None),
     ):
         p = sub.add_parser(name, help=help_)
-        p.set_defaults(func=fn)
-        if own_flags is None:
+        p.set_defaults(func=fn, keys=keys, needs=needs)
+        if keys is None:
             continue
         p.add_argument("--config", help="key=value configuration file")
-        flags = [
-            p.add_argument("--out", help="output directory (default ./out)"),
-            p.add_argument("--jobs", type=int, help="worker threads for sweeps"),
-            p.add_argument("--two-j", dest="two_j", help="list of 2j values, e.g. '40 80 160'"),
-            p.add_argument("--p", help="list of polarizations, e.g. '0 0.5 0.99'"),
-        ] + [p.add_argument(flag, help=flag_help) for flag, flag_help in own_flags]
-        p.set_defaults(config_defaults={**{a.dest: None for a in flags}, **DEFAULTS, **own_defaults})
+        for key, (flag_help, _, _) in keys.items():
+            if flag_help is not None:
+                p.add_argument(_flag(key), dest=key, help=flag_help)
     return ap
 
 

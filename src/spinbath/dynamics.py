@@ -332,12 +332,15 @@ def slowdown_experiment(params: ModelParams, a: float, b: float, times) -> Slowd
     )
 
 
-def btc_experiment(params: ModelParams, two_j_list, times, cross_check_max_two_j: int = 0) -> dict:
-    """Undamped-oscillation curves <Jx(t)/j> = e^{-Gamma t/(2j)} cos(h t) at p = 0.
+def btc_experiment(params: ModelParams, two_j_list, times, cross_check_max_two_j: int = 0,
+                   theta: float = np.pi / 2, phi: float = 0.0) -> dict:
+    """Undamped-oscillation curves <Jx(t)>/j at p = 0 from the coherent start (theta, phi).
 
-    The initial state maximizes <Jx(0)> (coherent theta=pi/2, phi=0), for which
-    the law is exact at every finite j.  Sizes up to cross_check_max_two_j are
-    verified against direct propagation.
+    The law <Jx(t)>/j = e^{-(Gamma+Gamma0) t/(2j)} sin(theta) cos(h t + phi)
+    is exact at every finite j; the default theta = pi/2, phi = 0 maximizes
+    <Jx(0)> = j.  Sizes up to cross_check_max_two_j are verified against
+    direct propagation from that coherent state; a disagreement above 1e-8
+    is a ValueError.
     """
     if params.p != 0:
         raise ValueError("btc experiment requires p = 0")
@@ -345,14 +348,14 @@ def btc_experiment(params: ModelParams, two_j_list, times, cross_check_max_two_j
     out = {}
     for two_j in two_j_list:
         j = two_j / 2.0
-        vals = np.exp(-params.gamma * ts / (2 * j)) * np.cos(params.h * ts)
+        decay = np.exp(-(params.gamma + params.gamma0) * ts / (2 * j))
+        vals = np.sin(theta) * decay * np.cos(params.h * ts + phi)
         if two_j <= cross_check_max_two_j:
             pj = ModelParams(two_j=two_j, h=params.h, gamma=params.gamma, gamma0=params.gamma0, p=0.0)
-            rho0 = coherent_state(two_j, np.pi / 2, 0.0)
-            states = propagate(pj, rho0, ts)
+            states = propagate(pj, coherent_state(two_j, theta, phi), ts)
             num = np.array([expectation(s, "jx") / j for s in states])
-            if np.abs(num - vals).max() > 1e-8:
-                raise AssertionError(
+            if not np.abs(num - vals).max() <= 1e-8:
+                raise ValueError(
                     f"closed form and propagation disagree at two_j={two_j}: {np.abs(num - vals).max():.2e}"
                 )
         out[two_j] = ObservableTrace(ts, vals, f"jx_over_j_two_j_{two_j}")

@@ -88,10 +88,8 @@ def read_config(path: str) -> dict:
 
 
 def _num(tok: str) -> float:
-    """Float with simple fraction support, e.g. '1/6'; 'top' maps to +inf."""
+    """Float with simple fraction support, e.g. '1/6'."""
     tok = tok.strip()
-    if tok == "top":
-        return math.inf
     if "/" in tok:
         return float(Fraction(tok))
     return float(tok)
@@ -111,6 +109,8 @@ def parse_time_grid(spec: str) -> np.ndarray:
     if len(parts) != 4:
         raise ValueError(f"time grid must be kind:start:stop:num, got {spec!r}")
     kind, a, b, n = parts[0], _num(parts[1]), _num(parts[2]), int(parts[3])
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError(f"time grid endpoints must be finite, got {spec!r}")
     if n < 1:
         raise ValueError("time grid needs at least one point")
     if kind == "lin":
@@ -129,8 +129,9 @@ _SELECTORS = {"hp-doublet": {"a": 0.0, "b": 0.0}, "fock": {"m": None}, "coherent
 def parse_initial(spec: str) -> tuple[str, dict]:
     """Initial-state selector: name[:key=value]* with fraction-friendly values.
 
-    Names: hp-doublet (keys a, b), fock (key m), coherent (keys theta, phi);
-    any other name or key is a ValueError.
+    Names: hp-doublet (keys a, b), fock (key m; m=top is +inf, the
+    highest-weight state), coherent (keys theta, phi); any other name or key
+    is a ValueError.
     """
     parts = spec.split(":")
     name = parts[0].strip().lower()
@@ -143,7 +144,7 @@ def parse_initial(spec: str) -> tuple[str, dict]:
         k, v = (x.strip() for x in tok.split("=", 1))
         if k not in kwargs:
             raise ValueError(f"{name} selector takes no key {k!r} (keys: {', '.join(kwargs)})")
-        kwargs[k] = _num(v)
+        kwargs[k] = math.inf if (k, v) == ("m", "top") else _num(v)
     if name == "fock" and kwargs["m"] is None:
         raise ValueError("fock selector needs m=<value> (or m=top for m=j)")
     return name, kwargs

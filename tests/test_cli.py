@@ -156,6 +156,7 @@ def test_scaling_rejects_non_finite_lambda_c(tmp_path, capsys, value):
     ["spectrum", "--two-j", "4", "--p", "0.5", "--initial", "fock:m=1"],
     ["evolve", "--two-j", "4", "--p", "0", "--initial", "fock:m=top", "--m", "0"],
     ["evolve", "--two-j", "4", "--p", "0", "--initial", "fock:m=top", "--gamma-bound", "1e-4"],
+    ["evolve", "--two-j", "4", "--p", "0", "--initial", "fock:m=top", "--jobs", "2"],
 ], ids=lambda argv: f"{argv[0]}{argv[-2]}")
 def test_flag_the_command_does_not_read_is_usage_error(tmp_path, capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -172,13 +173,39 @@ def test_flag_the_command_does_not_read_is_usage_error(tmp_path, capsys, argv):
     (["spectrum", "--two-j", "4", "--p", "0.5"], "lambda_c_per_j=-0.1\n", "lambda_c_per_j"),
     (["scaling", "--two-j", "8", "--p", "0.5"], "doublet_threshold=1e-6\n", "doublet_threshold"),
     (["evolve", "--two-j", "4", "--initial", "fock:m=top"], "cross_check_max_two_j=4\nm=0\n", "m"),
+    (["evolve", "--two-j", "4", "--initial", "fock:m=top"], "jobs=2\n", "jobs"),
 ], ids=["scaling-m-times", "spectrum-gamma_bound", "spectrum-typo", "spectrum-lambda_c", "scaling-threshold",
-        "evolve-m"])
+        "evolve-m", "evolve-jobs"])
 def test_config_key_the_command_does_not_read_is_usage_error(tmp_path, capsys, argv, cfg, unread):
     (tmp_path / "run.cfg").write_text(cfg, encoding="utf-8")
     rc = main(argv + ["--config", str(tmp_path / "run.cfg"), "--out", str(tmp_path / "out")])
     assert rc == 2
     assert one_line_error(capsys).endswith(f"does not read config key(s) {unread}\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv,cfg,key", [
+    (["spectrum", "--two-j", "4", "--p", "abc"], None, "p"),
+    (["spectrum", "--two-j", "4", "--p", "0.5", "--m", "x"], None, "m"),
+    (["spectrum", "--two-j", "4.5", "--p", "0.5"], None, "two_j"),
+    (["spectrum", "--two-j", "4", "--p", "top"], None, "p"),
+    (["spectrum", "--two-j", "4", "--p", "1/0"], None, "p"),
+    (["spectrum", "--two-j", "4", "--p", "0.5", "--jobs", "abc"], None, "jobs"),
+    (["spectrum", "--two-j", "4", "--p", "0.5"], "h=abc\n", "h"),
+    (["scaling", "--two-j", "8", "--p", "0.5", "--gamma-bound", "zz"], None, "gamma_bound"),
+    (["evolve", "--two-j", "4", "--initial", "fock:m=top", "--times", "lin:0:3"], None, "times"),
+    (["evolve", "--two-j", "4", "--initial", "fock:m=top", "--times", "lin:0:top:5"], None, "times"),
+    (["evolve", "--two-j", "4", "--initial", "fock:m=top", "--times", "lin:0:inf:5"], None, "times"),
+    (["evolve", "--two-j", "4", "--initial", "fock:m=top"], "cross_check_max_two_j=1.5\n", "cross_check_max_two_j"),
+], ids=["p-abc", "m-x", "two_j-4.5", "p-top", "p-1/0", "jobs-abc", "config-h-abc", "gamma_bound-zz",
+        "times-3-parts", "times-top", "times-inf", "config-cross_check"])
+def test_value_its_key_cannot_parse_is_usage_error(tmp_path, capsys, argv, cfg, key):
+    if cfg is not None:
+        (tmp_path / "run.cfg").write_text(cfg, encoding="utf-8")
+        argv = argv + ["--config", str(tmp_path / "run.cfg")]
+    rc = main(argv + ["--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert one_line_error(capsys).startswith(f"error: {key}: ")
     assert not (tmp_path / "out").exists()
 
 
@@ -298,6 +325,35 @@ def test_evolve_btc(tmp_path):
     assert (tmp_path / "oscillations.svg").exists()
 
 
+def test_evolve_btc_reads_theta_phi_and_gamma0(tmp_path):
+    # the coherent start and the dephasing reach both the closed form and its cross-check
+    (tmp_path / "run.cfg").write_text("gamma0=0.5\ncross_check_max_two_j=8\n", encoding="utf-8")
+    rc = main([
+        "evolve", "--two-j", "8", "--p", "0", "--initial", "coherent:theta=1:phi=0.4",
+        "--times", "lin:0:1:5", "--config", str(tmp_path / "run.cfg"), "--out", str(tmp_path / "out"),
+    ])
+    assert rc == 0
+    rows = [r.split(",") for r in read(tmp_path / "out" / "traces.csv").splitlines()[1:]]
+    ts, vals = (np.array([float(r[i]) for r in rows]) for i in (0, 1))
+    law = np.exp(-1.5 * ts / 8) * math.sin(1) * np.cos(ts + 0.4)
+    assert np.abs(vals - law).max() < 1e-15
+
+
+def test_evolve_btc_failed_cross_check_is_one_line_error(tmp_path, capsys, monkeypatch):
+    import spinbath.dynamics as dyn
+
+    propagate = dyn.propagate
+    monkeypatch.setattr(dyn, "propagate", lambda params, rho0, ts: propagate(params, rho0, 1.01 * ts))
+    (tmp_path / "run.cfg").write_text("cross_check_max_two_j=8\n", encoding="utf-8")
+    rc = main([
+        "evolve", "--two-j", "8", "--p", "0", "--initial", "coherent", "--times", "lin:0:1:5",
+        "--config", str(tmp_path / "run.cfg"), "--out", str(tmp_path / "out"),
+    ])
+    assert rc == 1
+    assert "disagree at two_j=8" in one_line_error(capsys)
+    assert not (tmp_path / "out").exists()
+
+
 def test_evolve_btc_rejects_nonzero_p(tmp_path):
     rc = main([
         "evolve", "--two-j", "8", "--p", "0.5", "--initial", "coherent:theta=1:phi=0",
@@ -351,9 +407,9 @@ def test_evolve_fock_m_beyond_j_is_error(tmp_path, capsys):
     assert not (tmp_path / "traces.csv").exists()
 
 
-@pytest.mark.parametrize("initial", ["wigner", "fock:m=top:k=3", "fock", "fock:m=abc"])
+@pytest.mark.parametrize("initial", ["wigner", "fock:m=top:k=3", "fock", "fock:m=abc", "coherent:theta=top"])
 def test_bad_initial_selector_is_usage_error(tmp_path, capsys, initial):
-    # an unknown selector or key, fock without m, or a value that is no number
+    # an unknown selector or key, fock without m, or a value that is no number (top is one of fock:m only)
     rc = main(["evolve", "--two-j", "4", "--initial", initial, "--out", str(tmp_path / "out")])
     assert rc == 2
     one_line_error(capsys)

@@ -224,6 +224,16 @@ def test_btc_curves():
     # large-j limit: pure cosine
     big = dyn.btc_experiment(params, [4000], ts)[4000].values
     assert np.abs(big - np.cos(ts)).max() < 0.01
+    # any coherent start and any dephasing: e^{-(Gamma+Gamma0) t/(2j)} sin(theta) cos(h t + phi)
+    for two_j in (8, 13):
+        for gamma0 in (0.0, 0.5, 0.7):
+            pg = ModelParams(two_j=two_j, h=1.0, gamma=1.0, gamma0=gamma0, p=0.0)
+            vals = dyn.btc_experiment(pg, [two_j], ts, cross_check_max_two_j=two_j, theta=1.0, phi=0.4)[two_j].values
+            law = np.exp(-(1.0 + gamma0) * ts / two_j) * math.sin(1.0) * np.cos(ts + 0.4)
+            states = dyn.propagate(pg, dyn.coherent_state(two_j, 1.0, 0.4), ts)
+            num = np.array([dyn.expectation(s, "jx") / (two_j / 2) for s in states])
+            assert np.abs(vals - law).max() < 1e-15
+            assert np.abs(num - law).max() < 1e-13
 
 
 def test_btc_requires_p0():
