@@ -31,6 +31,7 @@ from .output import (
     parse_float_list,
     parse_initial,
     parse_int_list,
+    parse_size_list,
     parse_time_grid,
     read_config,
     svg_lines,
@@ -293,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     # needs: the keys without a default that the command cannot run without
     shared = {
         "out": ("output directory (default ./out)", str, "out"),
-        "two_j": ("list of 2j values, e.g. '40 80 160'", parse_int_list, None),
+        "two_j": ("list of 2j values, e.g. '40 80 160'", parse_size_list, None),
         "p": ("list of polarizations, e.g. '0 0.5 0.99'", parse_float_list, None),
         "h": (None, float, "1"),
         "gamma": (None, float, "1"),

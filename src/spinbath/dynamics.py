@@ -1,14 +1,16 @@
 """Time propagation of vectorized density matrices, observables, and the
 slowing-down / critical-dynamics experiments.
 
-Propagation applies exp(t L_M) per sector through dense scaling-and-squaring
-(scipy expm), never a spectral decomposition: near coalescing pairs the
-eigenbasis is exponentially ill-conditioned while expm stays backward stable.
-The generator is a real matrix plus the scalar i h M, so each sector is
-propagated in real arithmetic and picks up the phase e^{i h M t} at the end.
-Each populated sector builds one real interval propagator per distinct
-output-interval length (lengths that differ only by float rounding count as
-one): a substepped expm, raised to the full interval by repeated squaring.
+The generator is a real tridiagonal R_M plus the scalar i h M, so each sector
+is propagated in real arithmetic and picks up the phase e^{i h M t} at the end.
+A sector with symmetric bands (every sector at p = 0) is propagated in its
+orthogonal eigenbasis, whose condition number is 1; t = 0 returns the initial
+state exactly.  Every other sector uses dense scaling-and-squaring (scipy
+expm), never a spectral decomposition: near coalescing pairs its eigenbasis is
+exponentially ill-conditioned while expm stays backward stable.  Such a sector
+builds one real interval propagator per distinct output-interval length
+(lengths that differ only by float rounding count as one): a substepped expm,
+raised to the full interval by repeated squaring.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
+from scipy.linalg import eigh_tridiagonal, expm
 
 from .closed_forms import _lfact, hp_states, thermal_ss
 from .liouvillian import build_sector
@@ -170,13 +172,20 @@ def propagate(params: ModelParams, rho0: VectorizedDensityMatrix, times) -> list
 
     Every sector generator is L_M = R_M + i h M with R_M its real bands, so
     exp(t L_M) v = e^{i h M t} exp(t R_M) v and the whole propagation runs in
-    real arithmetic on the (n, 2) view of the complex sector vector.  Per
-    populated sector there is one real interval propagator per distinct
-    output-interval length dt: E = expm(R_M dt/k) with k substeps chosen so
-    that ||L_M|| dt/k <= _EXPM_STEP_NORM, raised to E^k by repeated squaring.
-    Lengths that differ by at most _STEP_ULPS float spacings of t_max (the
-    rounding scatter of np.linspace) count as one, so a uniform grid costs one
-    expm per sector.
+    real arithmetic on the (n, 2) view of the complex sector vector; the phase
+    is applied once per sector for all times.  Two ways to apply exp(t R_M):
+
+    * R_M symmetric (upper band == lower band, which holds in every sector at
+      p = 0 and in every 1-dimensional sector): R_M = Q diag(lam) Q^T with Q
+      orthogonal, condition number 1, so all T states come from one batched
+      product Q (e^{lam t} * Q^T u0).  Rows with t = 0 are u0 exactly.
+    * otherwise the eigenbasis is ill-conditioned near coalescing pairs, so
+      there is one real interval propagator per distinct output-interval
+      length dt: E = expm(R_M dt/k) with k substeps chosen so that
+      ||L_M|| dt/k <= _EXPM_STEP_NORM, raised to E^k by repeated squaring.
+      Lengths that differ by at most _STEP_ULPS float spacings of t_max (the
+      rounding scatter of np.linspace) count as one, so a uniform grid costs
+      one expm per sector.
     """
     ts = _check_times(times)
     if rho0.two_j != params.two_j:
@@ -185,20 +194,32 @@ def propagate(params: ModelParams, rho0: VectorizedDensityMatrix, times) -> list
     out = [VectorizedDensityMatrix(rho0.two_j) for _ in ts]
     for M, v0 in rho0.sectors.items():
         op = build_sector(params, M)
-        R = op.to_dense().real
-        scale = op.scale()
-        cache: dict[float, np.ndarray] = {}
-        u = np.array(v0, dtype=complex).view(float).reshape(-1, 2)
-        for i, (t, dt) in enumerate(zip(ts, steps)):
-            if dt > 0:
-                P = cache.get(dt)
-                if P is None:
-                    k = max(1, int(np.ceil(scale * dt / _EXPM_STEP_NORM)))
-                    P = np.linalg.matrix_power(expm(R * (dt / k)), k)
-                    cache[dt] = P
-                u = P @ u
-            v = u.view(complex).ravel()
-            out[i].sectors[M] = v * np.exp(1j * op.shift * t) if M else v.copy()
+        u0 = np.array(v0, dtype=complex).view(float).reshape(-1, 2)
+        if np.array_equal(op.upper, op.lower):
+            lam, Q = eigh_tridiagonal(op.diag, op.upper)
+            U = Q @ (np.exp(np.multiply.outer(ts, lam))[:, :, None] * (Q.T @ u0))
+            U[ts == 0] = u0
+        else:
+            R = op.to_dense().real
+            scale = op.scale()
+            cache: dict[float, np.ndarray] = {}
+            U = np.empty((len(ts), *u0.shape))
+            u = u0
+            for i, dt in enumerate(steps):
+                if dt > 0:
+                    P = cache.get(dt)
+                    if P is None:
+                        k = max(1, int(np.ceil(scale * dt / _EXPM_STEP_NORM)))
+                        P = np.linalg.matrix_power(expm(R * (dt / k)), k)
+                        cache[dt] = P
+                    u = np.matmul(P, u, out=U[i])
+                else:
+                    U[i] = u
+        V = U.view(complex)[..., 0]
+        if M:
+            V = V * np.exp(1j * op.shift * ts)[:, None]
+        for state, v in zip(out, V):
+            state.sectors[M] = v
     return out
 
 

@@ -21,6 +21,7 @@ __all__ = [
     "parse_time_grid",
     "parse_float_list",
     "parse_int_list",
+    "parse_size_list",
     "parse_initial",
     "svg_scatter",
     "svg_lines",
@@ -101,6 +102,15 @@ def parse_float_list(spec: str) -> list[float]:
 
 def parse_int_list(spec: str) -> list[int]:
     return [int(t) for t in spec.replace(",", " ").split()]
+
+
+def parse_size_list(spec: str) -> list[int]:
+    """List of spin sizes 2j: positive integers only."""
+    sizes = parse_int_list(spec)
+    bad = [n for n in sizes if n < 1]
+    if bad:
+        raise ValueError(f"2j must be a positive integer, got {bad[0]}")
+    return sizes
 
 
 def parse_time_grid(spec: str) -> np.ndarray:

@@ -209,6 +209,20 @@ def test_value_its_key_cannot_parse_is_usage_error(tmp_path, capsys, argv, cfg, 
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("two_j", ["-4", "4 -4", "0"])
+@pytest.mark.parametrize("command", [
+    ["spectrum", "--p", "0.5"],
+    ["scaling", "--p", "0.5"],
+    ["evolve", "--initial", "fock:m=0"],
+], ids=["spectrum", "scaling", "evolve"])
+def test_non_positive_size_is_usage_error(tmp_path, capsys, command, two_j):
+    # spectrum --two-j -4 used to write a header-only CSV and then fail; "4 -4" dropped -4 silently
+    rc = main(command + ["--two-j", two_j, "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert one_line_error(capsys).startswith("error: two_j: ")
+    assert not (tmp_path / "out").exists()
+
+
 def test_scaling_bounded_eigenvectors_give_the_full_bytes(tmp_path, monkeypatch):
     # eigenvectors only down to the deepest precursor must not move a byte of any output;
     # 2j = 320 is the size whose first 64-column block already holds the precursor

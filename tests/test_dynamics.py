@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from spinbath import closed_forms as cf
 from spinbath import dynamics as dyn
 from spinbath.model import ModelParams
+from spinbath.output import parse_time_grid
 
 
 def random_hermitian_state(two_j, seed):
@@ -88,8 +89,11 @@ def test_entropy_of_diagonal_state_positivity_rules():
     assert dyn.entropy(state) == pytest.approx(math.log(2), abs=1e-8)
 
 
-def test_propagate_one_expm_per_sector_on_uniform_grid(monkeypatch):
-    # np.linspace steps differ in the last ulp; they must share one exponential
+@pytest.mark.parametrize("p, n_expm", [(0.0, 0), (0.3, 19)])
+def test_propagate_one_expm_per_sector_on_uniform_grid(monkeypatch, p, n_expm):
+    # np.linspace steps differ in the last ulp; they must share one exponential.
+    # Symmetric sectors (all of them at p = 0, and the two 1-dimensional
+    # sectors M = +-10 at any p) take the orthogonal eigenbasis and no expm.
     calls = []
     expm = dyn.expm
 
@@ -99,8 +103,9 @@ def test_propagate_one_expm_per_sector_on_uniform_grid(monkeypatch):
 
     monkeypatch.setattr(dyn, "expm", counting)
     rho0 = dyn.coherent_state(10, 1.0, 0.3)
-    dyn.propagate(ModelParams(two_j=10, p=0.3, h=0.9), rho0, np.linspace(0, 3, 61))
-    assert len(calls) == len(rho0.sectors) == 21
+    dyn.propagate(ModelParams(two_j=10, p=p, h=0.9), rho0, np.linspace(0, 3, 61))
+    assert len(rho0.sectors) == 21
+    assert len(calls) == n_expm
 
 
 def test_propagate_fixes_steady_state():
@@ -234,6 +239,17 @@ def test_btc_curves():
             num = np.array([dyn.expectation(s, "jx") / (two_j / 2) for s in states])
             assert np.abs(vals - law).max() < 1e-15
             assert np.abs(num - law).max() < 1e-13
+
+
+@pytest.mark.parametrize("grid", ["lin:0:3:61", "lin:0:3000:121"])
+def test_propagate_p0_large_j_against_closed_form(grid):
+    # the eigenbasis path at a size no other test propagates at p = 0
+    params = ModelParams(two_j=160, h=0.9, gamma0=0.3, p=0.0)
+    ts = parse_time_grid(grid)
+    dyn.btc_experiment(params, [160], ts, cross_check_max_two_j=160, theta=1.1, phi=0.4)
+    states = dyn.propagate(params, dyn.coherent_state(160, 1.1, 0.4), ts)
+    assert max(abs(s.trace() - 1) for s in states) <= 1e-10
+    assert max(s.hermiticity_defect() for s in states) <= 1e-10
 
 
 def test_btc_requires_p0():

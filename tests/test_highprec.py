@@ -116,7 +116,7 @@ def test_structured_solver_against_highprec():
 # a lasting offset shows at a few checkpoints, so only those are compared.
 _PROPAGATE_CASES = [
     (p, gamma0, grid)
-    for p in (1.0, -1.0, 0.5)
+    for p in (1.0, -1.0, 0.5, 0.0)
     for gamma0 in (0.0, 0.7)
     for grid in ("lin:0:100:6", "log:0.1:100:4")
 ] + [(0.5, 0.7, "log:1e-6:100:2000")]
