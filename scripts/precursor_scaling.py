@@ -4,7 +4,10 @@
 Emits the lowest doublet eigenvalues and d1 against j, and the precursor
 eigenvalue against the critical value for several coalescence bounds.  Bounds
 below ~1e-4 stay under the collapsed-basis distance plateau up to j = 320 and
-give the clean power-law approach to the critical line.
+give the clean power-law approach to the critical line.  The second run sweeps
+eight values of p, but its precursor rows are measured against the default
+lambda_c_per_j, the p = 0.5 value: for p != 0.5 only its d1 rows are
+meaningful.
 """
 
 import argparse

@@ -102,6 +102,7 @@ def cmd_spectrum(args) -> int:
     too_big = [M for M in ms or [] if abs(M) > max(two_js)]
     if too_big:
         raise UsageError(f"sector M={too_big[0]} exceeds the largest 2j={max(two_js)}")
+    sp.check_bound(cfg["doublet_threshold"])
 
     tasks = []
     for two_j in two_js:
@@ -148,6 +149,8 @@ def cmd_scaling(args) -> int:
     lam_c_per_j = cfg["lambda_c_per_j"]
     if not math.isfinite(lam_c_per_j):
         raise ValueError(f"lambda_c_per_j must be finite, got {lam_c_per_j}")
+    for gamma in gammas:
+        sp.check_bound(gamma)
 
     def decompose(task):
         two_j, p = task

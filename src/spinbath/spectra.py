@@ -10,8 +10,7 @@ minus Re(lambda), and each eigenvector is one real LAPACK tridiagonal solve
 (dgtsv, one call per block of eigenvalues), i.e. a single inverse-iteration
 step from a fixed start vector.  Near a coalesced pair both shifts land on the
 common direction, which is precisely the physics the eigenvector distance d_N
-is meant to capture.  A dense QR path (numpy.linalg.eig) is kept for
-cross-validation at small j, where it is reliable.
+is meant to capture.
 
 Each coalescence decision lives once, here: pair_distances is the one d_N
 formula (eigenvector_distance reads one entry of it), doublet_members the one
@@ -44,6 +43,7 @@ __all__ = [
     "eigenvector_distance",
     "pair_distances",
     "doublet_members",
+    "check_bound",
     "ep_scan",
     "fit_power_law",
     "fit_exponential",
@@ -83,11 +83,10 @@ def _sector_error(message: str, sec) -> EigensolverError:
 class SpectralDecomposition:
     """Ordered spectrum of one sector with unit-norm right eigenvectors.
 
-    eigenvalues are sorted by descending real part, ties by ascending
-    imaginary part; right_eigenvectors[:, N] belongs to eigenvalues[N], with
-    its largest component positive.  method "auto" gives real (float64)
-    eigenvectors, "qr" complex ones.  residual_norms[N] is
-    ||L v_N - lambda_N v_N||, recomputed from the operator's bands.
+    eigenvalues are sorted by descending real part (all share the imaginary
+    part h*M); right_eigenvectors[:, N] is real (float64), belongs to
+    eigenvalues[N] and has its largest component positive.  residual_norms[N]
+    is ||L v_N - lambda_N v_N||, recomputed from the operator's bands.
     eigenvalues always hold all dim values; built with a bound (see
     diagonalize), right_eigenvectors and residual_norms may hold only the
     leading columns, fewer than dim.  distances holds their d_N (see
@@ -99,7 +98,6 @@ class SpectralDecomposition:
     right_eigenvectors: np.ndarray
     residual_norms: np.ndarray
     operator_scale: float
-    method: str
     distances: np.ndarray = field(init=False)
 
     def __post_init__(self):
@@ -147,10 +145,6 @@ class DensityOfStates:
     density: np.ndarray
     peak_location: float
     n_eigenvalues: int
-
-
-def _order(w: np.ndarray) -> np.ndarray:
-    return np.lexsort((w.imag, -w.real))
 
 
 def eigenvalues_only(op: SectorOperator) -> np.ndarray:
@@ -244,7 +238,8 @@ def _inverse_iteration(op: SectorOperator, lams: np.ndarray) -> np.ndarray:
     return V
 
 
-def _check_bound(bound: float) -> None:
+def check_bound(bound: float) -> None:
+    """The one domain of a coalescence bound: ValueError unless 0 < bound < 1 (so also for NaN)."""
     if not 0 < bound < 1:
         raise ValueError(f"coalescence bound must lie in (0, 1), got {bound}")
 
@@ -270,52 +265,35 @@ def _eigenvectors_to_precursor(op: SectorOperator, w: np.ndarray, bound: float) 
     return V
 
 
-def diagonalize(op: SectorOperator, method: str = "auto", bound: float | None = None) -> SpectralDecomposition:
-    """Spectral decomposition of a sector operator.
+def diagonalize(op: SectorOperator, bound: float | None = None) -> SpectralDecomposition:
+    """Spectral decomposition of a sector operator, with real eigenvectors.
 
-    method "auto" exploits the exact symmetrizability of the bands (see module
-    docstring) and returns real eigenvectors; "qr" forces the dense general
-    solver and returns complex ones.  With a bound in (0, 1) ("auto" only),
-    every eigenvalue is still computed, but eigenvectors and residuals only
-    for the leading columns that reach the precursor of ep_scan at that bound,
-    which is also enough for ep_scan at any smaller bound.
+    Every eigenvalue comes from eigenvalues_only, every eigenvector from
+    inverse iteration (see module docstring).  With a bound in (0, 1), every
+    eigenvalue is still computed, but eigenvectors and residuals only for the
+    leading columns that reach the precursor of ep_scan at that bound, which
+    is also enough for ep_scan at any smaller bound.
     """
     if op.dim < 1:
         raise ValueError("empty sector operator")
-    sec = op.sector
-    if method not in ("auto", "qr"):
-        raise ValueError(f"unknown method {method!r}")
     if bound is not None:
-        if method == "qr":
-            raise ValueError("a coalescence bound needs method 'auto'")
-        _check_bound(bound)
+        check_bound(bound)
     try:
-        if method == "qr":
-            w, V = np.linalg.eig(op.to_dense())
-            order = _order(w)
-            w = w[order]
-            V = V[:, order]
-            V = V / np.linalg.norm(V, axis=0)
-            ks = np.argmax(np.abs(V), axis=0)
-            phases = V[ks, np.arange(V.shape[1])]
-            V = V * (np.abs(phases) / phases)[None, :]
+        w = eigenvalues_only(op)
+        if op.dim == 1:
+            V = np.ones((1, 1))
+        elif bound is None:
+            V = _inverse_iteration(op, w)
         else:
-            w = eigenvalues_only(op)
-            if op.dim == 1:
-                V = np.ones((1, 1))
-            elif bound is None:
-                V = _inverse_iteration(op, w)
-            else:
-                V = _eigenvectors_to_precursor(op, w, bound)
+            V = _eigenvectors_to_precursor(op, w, bound)
     except np.linalg.LinAlgError as exc:
-        raise _sector_error(str(exc), sec) from exc
+        raise _sector_error(str(exc), op.sector) from exc
     return SpectralDecomposition(
-        sector=sec,
+        sector=op.sector,
         eigenvalues=w,
         right_eigenvectors=V,
         residual_norms=np.linalg.norm(op.matvec(V) - V * w[: V.shape[1]], axis=0),
         operator_scale=op.scale(),
-        method=method,
     )
 
 
@@ -346,7 +324,7 @@ def doublet_members(d: np.ndarray, bound: float) -> np.ndarray:
 
     This is the one coalescence rule; bound must lie in (0, 1).
     """
-    _check_bound(bound)
+    check_bound(bound)
     closed = d[1::2] < bound
     member = np.zeros(len(d) + 1, dtype=bool)
     member[1 : 1 + 2 * len(closed)] = np.repeat(closed, 2)

@@ -137,6 +137,28 @@ def test_spectrum_rejects_bad_jobs_and_threshold(tmp_path, capsys, extra, cfg_li
     assert not (tmp_path / "out" / "spectra.csv").exists()
 
 
+@pytest.mark.parametrize("argv,cfg_line", [
+    (["scaling", "--two-j", "80 320 640", "--p", "0.5", "--gamma-bound", "1e-4 0"], None),
+    (["scaling", "--two-j", "80 320 640", "--p", "0.5", "--gamma-bound", "1e-4 nan"], None),
+    (["scaling", "--two-j", "80 320 640", "--p", "0.5", "--gamma-bound", "0.5 1"], None),
+    (["spectrum", "--two-j", "4", "--p", "0.5"], "doublet_threshold=2"),
+], ids=["bound-0", "bound-nan", "bound-1", "threshold-2"])
+def test_bad_coalescence_bound_rejected_before_any_solve(tmp_path, capsys, monkeypatch, argv, cfg_line):
+    # every bound is checked, not only the largest one (max() skips NaN), before the first sector is built
+    import spinbath.cli as cli
+
+    def no_build(params, M):
+        raise AssertionError("a sector was built before the bounds were checked")
+
+    monkeypatch.setattr(cli, "build_sector", no_build)
+    if cfg_line is not None:
+        (tmp_path / "run.cfg").write_text(cfg_line + "\n", encoding="utf-8")
+        argv = argv + ["--config", str(tmp_path / "run.cfg")]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+    assert "must lie in (0, 1)" in one_line_error(capsys)
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
 def test_scaling_rejects_non_finite_lambda_c(tmp_path, capsys, value):
     (tmp_path / "run.cfg").write_text(f"lambda_c_per_j={value}\n", encoding="utf-8")

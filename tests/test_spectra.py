@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from scipy.linalg.lapack import dgtsv
+from scipy.optimize import linear_sum_assignment
 
 from spinbath import spectra as sp
 from spinbath.liouvillian import SectorOperator, build_sector
@@ -8,8 +9,8 @@ from spinbath.model import ModelParams, sector_basis
 from spinbath.verification import multiset_match_error
 
 
-def dec_for(two_j, p, M=0, h=1.0, gamma=1.0, gamma0=0.0, method="auto"):
-    return sp.diagonalize(build_sector(ModelParams(two_j=two_j, h=h, gamma=gamma, gamma0=gamma0, p=p), M), method=method)
+def dec_for(two_j, p, M=0, h=1.0, gamma=1.0, gamma0=0.0):
+    return sp.diagonalize(build_sector(ModelParams(two_j=two_j, h=h, gamma=gamma, gamma0=gamma0, p=p), M))
 
 
 def test_triangular_spectrum_j1():
@@ -50,13 +51,12 @@ def test_residual_invariant():
         assert dec.residual_norms.max() <= 1e-8 * dec.operator_scale
 
 
-@pytest.mark.parametrize("method", ["auto", "qr"])
-def test_residual_norms_match_per_column_definition(method):
+def test_residual_norms_match_per_column_definition():
     for p, M in ((0.5, 0), (0.0, 3), (1.0, 0), (-0.8, -2), (0.5, 7)):
         op = build_sector(ModelParams(two_j=40, p=p), M)
-        dec = sp.diagonalize(op, method=method)
+        dec = sp.diagonalize(op)
         V, w = dec.right_eigenvectors, dec.eigenvalues
-        assert V.dtype == (np.float64 if method == "auto" else np.complex128)
+        assert V.dtype == np.float64
         direct = [np.linalg.norm(op.matvec(V[:, k]) - w[k] * V[:, k]) for k in range(dec.dim)]
         assert np.abs(dec.residual_norms - direct).max() <= 1e-14 * dec.operator_scale
 
@@ -200,18 +200,22 @@ def test_bounded_diagonalize_guards(monkeypatch):
         raise AssertionError("solved before the bound was checked")
 
     monkeypatch.setattr(sp, "eigenvalues_only", no_solve)
-    with pytest.raises(ValueError, match="method 'auto'"):
-        sp.diagonalize(op, method="qr", bound=1e-6)
     for bound in (0.0, 1.0, float("nan")):
         with pytest.raises(ValueError, match=r"must lie in \(0, 1\)"):
             sp.diagonalize(op, bound=bound)
 
 
 def test_structured_matches_qr_at_small_j():
+    # the dense general eigensolver (LAPACK geev, QR iteration) as the oracle for values and vectors
     for p, M in ((0.5, 0), (0.3, 2), (0.0, -1)):
-        a = dec_for(16, p, M, method="auto")
-        b = dec_for(16, p, M, method="qr")
-        assert multiset_match_error(a.eigenvalues, b.eigenvalues) < 1e-9
+        op = build_sector(ModelParams(two_j=16, p=p), M)
+        dec = sp.diagonalize(op)
+        w, V = np.linalg.eig(op.to_dense())
+        assert multiset_match_error(dec.eigenvalues, w) < 1e-9
+        rows, cols = linear_sum_assignment(np.abs(dec.eigenvalues[:, None] - w[None, :]))
+        V = V[:, cols] / np.linalg.norm(V[:, cols], axis=0)
+        overlap = np.abs(np.einsum("ij,ij->j", dec.right_eigenvectors[:, rows], V.conj()))
+        assert (1.0 - overlap).max() <= 1e-9
 
 
 def test_distance_identical_and_orthogonal():
@@ -219,14 +223,14 @@ def test_distance_identical_and_orthogonal():
     V = np.eye(3, dtype=complex)
     dec = sp.SpectralDecomposition(
         sector=sec, eigenvalues=np.array([0, -1, -3], complex),
-        right_eigenvectors=V, residual_norms=np.zeros(3), operator_scale=1.0, method="auto",
+        right_eigenvectors=V, residual_norms=np.zeros(3), operator_scale=1.0,
     )
     assert sp.eigenvector_distance(dec, 0) == pytest.approx(1.0)
     V2 = V.copy()
     V2[:, 1] = V2[:, 0]
     dec2 = sp.SpectralDecomposition(
         sector=sec, eigenvalues=dec.eigenvalues, right_eigenvectors=V2,
-        residual_norms=np.zeros(3), operator_scale=1.0, method="auto",
+        residual_norms=np.zeros(3), operator_scale=1.0,
     )
     assert sp.eigenvector_distance(dec2, 0) == pytest.approx(0.0)
 
