@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .liouvillian import build_sector
 from .model import ModelParams, ladder_coeff, sector_basis
@@ -458,6 +457,8 @@ def ep_halflife(lambda_rate: float, has_generalized: bool) -> float:
     partner the envelope is (1 + t) exp(lambda t), solved by bracketed root
     finding.
     """
+    from scipy.optimize import brentq  # kept off the CLI import path
+
     if lambda_rate >= 0:
         raise ValueError(f"decay rate must be negative, got {lambda_rate}")
     t_plain = math.log(2.0) / abs(lambda_rate)

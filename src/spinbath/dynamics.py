@@ -10,7 +10,10 @@ expm), never a spectral decomposition: near coalescing pairs its eigenbasis is
 exponentially ill-conditioned while expm stays backward stable.  Such a sector
 builds one real interval propagator per distinct output-interval length
 (lengths that differ only by float rounding count as one): a substepped expm,
-raised to the full interval by repeated squaring.
+raised to the full interval by repeated squaring.  A Lindblad generator
+preserves Hermiticity, so L_{-M} = conj(L_M): a sector -M whose initial vector
+is exactly the conjugate of sector M's is not propagated but filled with the
+conjugate of sector M's output.
 """
 
 from __future__ import annotations
@@ -70,7 +73,9 @@ class VectorizedDensityMatrix:
         """Max deviation from the mirror rule rho(-M) = conj(rho(M)).
 
         Index alignment works out elementwise: component k of sector -M is the
-        conjugate of component k of sector M.
+        conjugate of component k of sector M.  For the output of propagate
+        from an exactly mirrored start the defect is 0 by construction, since
+        each sector -M is filled with the conjugate of sector M.
         """
         worst = 0.0
         for M, v in self.sectors.items():
@@ -125,7 +130,9 @@ def coherent_state(two_j: int, theta: float, phi: float) -> VectorizedDensityMat
     c = amp * np.exp(-1j * (two_j - k) * phi)
     c = c / np.linalg.norm(c)
     rho = np.outer(c, c.conj())
-    return VectorizedDensityMatrix.from_dense(two_j, rho)
+    # the complex products of outer() are not exactly mirrored for phi != 0;
+    # the symmetrized matrix is, so propagate can fill its sectors -M by conjugation
+    return VectorizedDensityMatrix.from_dense(two_j, 0.5 * (rho + rho.conj().T))
 
 
 def _check_times(times) -> np.ndarray:
@@ -186,13 +193,24 @@ def propagate(params: ModelParams, rho0: VectorizedDensityMatrix, times) -> list
       Lengths that differ by at most _STEP_ULPS float spacings of t_max (the
       rounding scatter of np.linspace) count as one, so a uniform grid costs
       one expm per sector.
+
+    Sector -M (M > 0) has the bands of sector M and the opposite shift, so
+    L_{-M} = conj(L_M).  When rho0 holds both and sectors[-M] is bitwise
+    np.conj(sectors[M]) (coherent_state builds its sectors so), the output block
+    of -M is np.conj of the block of M, computed once for all times; a -M
+    sector without such a partner is propagated explicitly.
     """
     ts = _check_times(times)
     if rho0.two_j != params.two_j:
         raise ValueError("size mismatch between params and rho0")
     steps = _grouped_steps(ts)
-    out = [VectorizedDensityMatrix(rho0.two_j) for _ in ts]
-    for M, v0 in rho0.sectors.items():
+    sectors = rho0.sectors
+    mirrored = {M for M, v in sectors.items()
+                if M < 0 and -M in sectors and np.array_equal(v, np.conj(sectors[-M]))}
+    blocks = {}
+    for M, v0 in sectors.items():
+        if M in mirrored:
+            continue
         op = build_sector(params, M)
         u0 = np.array(v0, dtype=complex).view(float).reshape(-1, 2)
         if np.array_equal(op.upper, op.lower):
@@ -218,7 +236,12 @@ def propagate(params: ModelParams, rho0: VectorizedDensityMatrix, times) -> list
         V = U.view(complex)[..., 0]
         if M:
             V = V * np.exp(1j * op.shift * ts)[:, None]
-        for state, v in zip(out, V):
+        blocks[M] = V
+    for M in mirrored:
+        blocks[M] = np.conj(blocks[-M])
+    out = [VectorizedDensityMatrix(rho0.two_j) for _ in ts]
+    for M in sectors:
+        for state, v in zip(out, blocks[M]):
             state.sectors[M] = v
     return out
 

@@ -1,9 +1,13 @@
+import dataclasses
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import spinbath
 from spinbath.cli import main
 from spinbath.liouvillian import build_bruteforce
 from spinbath.output import (
@@ -472,8 +476,6 @@ def test_verify_command_passes(capsys):
 
 def test_bruteforce_oracle_sees_coupled_sectors(monkeypatch):
     # an entry coupling sectors M = 0 and M = -1, far too small to move an eigenvalue, still fails
-    import dataclasses
-
     import spinbath.verification as verification
 
     def coupled(params):
@@ -491,8 +493,6 @@ def test_bruteforce_oracle_sees_coupled_sectors(monkeypatch):
 def test_verify_catches_mutated_builder(capsys, monkeypatch):
     # a corrupted sector builder must trip the oracle checks: wrong bands, or only a wrong shift;
     # a sign-flipped shift swaps the spectra of M and -M, which only a per-sector comparison sees
-    import dataclasses
-
     import spinbath.verification as verification
     from spinbath.liouvillian import build_sector
 
@@ -510,3 +510,32 @@ def test_verify_catches_mutated_builder(capsys, monkeypatch):
         assert rc == 1
         for name in failing:
             assert f"FAIL {name}" in out
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda op: dataclasses.replace(op, shift=-op.shift),
+    lambda op: dataclasses.replace(op, lower=op.lower * (1 + 1e-6)),
+], ids=["sign-flipped-shift", "perturbed-band"])
+def test_propagation_check_catches_broken_negative_sectors(monkeypatch, mutate):
+    # propagate fills mirrored sectors -M by conjugation, so the check must
+    # propagate some -M sectors explicitly to see a builder that breaks them
+    import spinbath.dynamics as dynamics
+    import spinbath.verification as verification
+    from spinbath.liouvillian import build_sector
+
+    def broken(params, M):
+        op = build_sector(params, M)
+        return mutate(op) if M < 0 else op
+
+    monkeypatch.setattr(dynamics, "build_sector", broken)
+    result = verification.check_propagation_conservation()
+    assert result.name == "propagation-trace-hermiticity"
+    assert not result.passed
+
+
+def test_cli_import_leaves_out_scipy_optimize():
+    src = os.path.dirname(os.path.dirname(spinbath.__file__))
+    code = "import sys, spinbath.cli; print('scipy.optimize' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import expm
 
 from spinbath import closed_forms as cf
 from spinbath import dynamics as dyn
+from spinbath.liouvillian import build_bruteforce
 from spinbath.model import ModelParams
 from spinbath.output import parse_time_grid
 
@@ -89,11 +91,12 @@ def test_entropy_of_diagonal_state_positivity_rules():
     assert dyn.entropy(state) == pytest.approx(math.log(2), abs=1e-8)
 
 
-@pytest.mark.parametrize("p, n_expm", [(0.0, 0), (0.3, 19)])
+@pytest.mark.parametrize("p, n_expm", [(0.0, 0), (0.3, 10)])
 def test_propagate_one_expm_per_sector_on_uniform_grid(monkeypatch, p, n_expm):
     # np.linspace steps differ in the last ulp; they must share one exponential.
-    # Symmetric sectors (all of them at p = 0, and the two 1-dimensional
-    # sectors M = +-10 at any p) take the orthogonal eigenbasis and no expm.
+    # Only M = 0..10 are propagated (the coherent start is exactly mirrored);
+    # symmetric sectors (all of them at p = 0, and the 1-dimensional sector
+    # M = 10 at any p) take the orthogonal eigenbasis and no expm.
     calls = []
     expm = dyn.expm
 
@@ -106,6 +109,74 @@ def test_propagate_one_expm_per_sector_on_uniform_grid(monkeypatch, p, n_expm):
     dyn.propagate(ModelParams(two_j=10, p=p, h=0.9), rho0, np.linspace(0, 3, 61))
     assert len(rho0.sectors) == 21
     assert len(calls) == n_expm
+
+
+@settings(max_examples=50, deadline=None)
+@given(two_j=st.integers(1, 40), theta=st.floats(0.0, math.pi), phi=st.floats(-7.0, 7.0))
+def test_coherent_state_sectors_exactly_mirrored(two_j, theta, phi):
+    s = dyn.coherent_state(two_j, theta, phi).sectors
+    assert all(np.array_equal(s[-M], np.conj(s[M])) for M in s)
+
+
+def _counting_build_sector(monkeypatch):
+    built = []
+    build = dyn.build_sector
+
+    def counting(params, M):
+        built.append(M)
+        return build(params, M)
+
+    monkeypatch.setattr(dyn, "build_sector", counting)
+    return built
+
+
+@pytest.mark.parametrize("p", [0.0, 0.3])
+def test_propagate_fills_mirrored_sectors_by_conjugation(monkeypatch, p):
+    built = _counting_build_sector(monkeypatch)
+    rho0 = dyn.coherent_state(10, 1.1, 0.4)
+    states = dyn.propagate(ModelParams(two_j=10, p=p, h=0.9), rho0, np.linspace(0, 3, 7))
+    assert sorted(built) == list(range(11))
+    for s in states:
+        assert list(s.sectors) == list(rho0.sectors)
+        for M in range(1, 11):
+            assert np.array_equal(s.sectors[-M], np.conj(s.sectors[M]))
+
+
+def _dense_propagation(params, rho0, t):
+    # exp(t L) on the brute-force N^2 x N^2 Liouvillian, whose index a*N + b is rho[a, b]
+    N = params.two_j + 1
+    vec = expm(build_bruteforce(params).matrix * t) @ rho0.to_dense().ravel()
+    return dyn.VectorizedDensityMatrix.from_dense(params.two_j, vec.reshape(N, N))
+
+
+def _unmirrored_states(two_j):
+    rng = np.random.default_rng(3)
+    N = two_j + 1
+    general = dyn.VectorizedDensityMatrix.from_dense(
+        two_j, rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N)))
+    near = dyn.coherent_state(two_j, 1.1, 0.4)
+    near.sectors[-2] = near.sectors[-2].copy()
+    near.sectors[-2][0] = np.nextafter(near.sectors[-2][0].real, 1.0) + 1j * near.sectors[-2][0].imag
+    lonely = dyn.VectorizedDensityMatrix(two_j, {M: general.sectors[M] for M in (0, -1, -3, 2)})
+    return {"general": (general, set(range(-two_j, two_j + 1))),
+            "one-ulp-off": (near, set(range(two_j + 1)) | {-2}),
+            "no-partner": (lonely, {0, -1, -3, 2})}
+
+
+@pytest.mark.parametrize("p", [0.0, 0.5])
+@pytest.mark.parametrize("case", ["general", "one-ulp-off", "no-partner"])
+def test_propagate_unmirrored_sectors_explicitly(monkeypatch, p, case):
+    params = ModelParams(two_j=5, p=p, h=0.8, gamma0=0.3)
+    rho0, propagated = _unmirrored_states(5)[case]
+    built = _counting_build_sector(monkeypatch)
+    ts = [0.0, 0.6, 2.5]
+    states = dyn.propagate(params, rho0, ts)
+    assert set(built) == propagated and len(built) == len(propagated)
+    for t, s in zip(ts, states):
+        want = _dense_propagation(params, rho0, t)
+        assert s.sectors.keys() == rho0.sectors.keys()
+        for M, v in s.sectors.items():
+            assert np.abs(v - want.sectors[M]).max() <= 1e-12
 
 
 def test_propagate_fixes_steady_state():

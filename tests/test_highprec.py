@@ -133,7 +133,7 @@ def test_propagate_against_highprec(p, gamma0, grid):
     checked = range(len(ts)) if len(ts) <= 6 else (20, 100, 400, 1000, len(ts) - 1)
     worst = 0.0
     with mp.workdps(30):
-        for M in (0, 5, 12):
+        for M in (0, 5, -5, 12, -12):
             A = build_sector(params, M).to_dense()
             A = mmatrix((A.real if M == 0 else A).tolist())
             v0 = mmatrix(rho0.sectors[M].tolist())
