@@ -8,8 +8,10 @@ commands get typed values; a value its parser rejects is a usage error that
 names the key.  Sweep points of spectrum and scaling run on a bounded thread
 pool (--jobs) and are merged in configuration order, so identical
 configurations give byte-identical CSV regardless of --jobs.  More threads
-are not always faster: `spectrum --two-j 80 --p "0 0.5 0.99"` runs 0.1-0.2 s
-slower with --jobs 2 than with --jobs 1 on 2 CPUs.
+are not always faster: `spectrum --two-j 80 --p "0 0.5 0.99"` takes
+0.46-0.50 s with --jobs 2 against 0.32-0.40 s with --jobs 1 on 2 CPUs (in
+process, median of 7 passes in each of 4 rounds); scipy's LAPACK eigenvalue
+call (dstevd) holds the interpreter lock, so two threads cannot overlap it.
 """
 
 from __future__ import annotations
@@ -107,14 +109,15 @@ def cmd_spectrum(args) -> int:
     tasks = []
     for two_j in two_js:
         for p in ps:
+            params = _params(cfg, two_j, p)
             # an M that fits only the larger sizes is skipped for this one
             for M in range(-two_j, two_j + 1) if ms is None else ms:
                 if abs(M) <= two_j:
-                    tasks.append((two_j, p, M))
+                    tasks.append((params, M))
 
     def work(task):
-        two_j, p, M = task
-        params = _params(cfg, two_j, p)
+        params, M = task
+        two_j = params.two_j
         dec = sp.diagonalize(build_sector(params, M))
         d = sp.pair_distances(dec)
         w = dec.eigenvalues

@@ -21,7 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, expm
+from scipy.linalg import expm
+from scipy.linalg.lapack import dstevd
 
 from .closed_forms import _lfact, hp_states, thermal_ss
 from .liouvillian import build_sector
@@ -184,8 +185,10 @@ def propagate(params: ModelParams, rho0: VectorizedDensityMatrix, times) -> list
 
     * R_M symmetric (upper band == lower band, which holds in every sector at
       p = 0 and in every 1-dimensional sector): R_M = Q diag(lam) Q^T with Q
-      orthogonal, condition number 1, so all T states come from one batched
-      product Q (e^{lam t} * Q^T u0).  Rows with t = 0 are u0 exactly.
+      orthogonal from one direct LAPACK dstevd call (the routine scipy's
+      eigh_tridiagonal picks), condition number 1, so all T states come from
+      one batched product Q (e^{lam t} * Q^T u0).  Rows with t = 0 are u0
+      exactly.
     * otherwise the eigenbasis is ill-conditioned near coalescing pairs, so
       there is one real interval propagator per distinct output-interval
       length dt: E = expm(R_M dt/k) with k substeps chosen so that
@@ -214,7 +217,12 @@ def propagate(params: ModelParams, rho0: VectorizedDensityMatrix, times) -> list
         op = build_sector(params, M)
         u0 = np.array(v0, dtype=complex).view(float).reshape(-1, 2)
         if np.array_equal(op.upper, op.lower):
-            lam, Q = eigh_tridiagonal(op.diag, op.upper)
+            if op.dim == 1:
+                lam, Q = op.diag, np.ones((1, 1))  # dstevd rejects an empty off-diagonal
+            else:
+                lam, Q, info = dstevd(op.diag, op.upper)
+                if info:
+                    raise np.linalg.LinAlgError(f"dstevd failed (info={info}) in sector M={M}")
             U = Q @ (np.exp(np.multiply.outer(ts, lam))[:, :, None] * (Q.T @ u0))
             U[ts == 0] = u0
         else:

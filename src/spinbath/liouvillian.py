@@ -10,7 +10,9 @@ appropriate full-polarization limit, making the operator triangular there.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -26,6 +28,9 @@ __all__ = [
 ]
 
 BRUTEFORCE_MAX_HILBERT_DIM = 64
+
+# ladder tables kept, one pair per spin size
+_LADDER_CACHE = 64
 
 
 @dataclass(frozen=True)
@@ -76,26 +81,49 @@ class SectorOperator:
         return float(s)
 
 
+@lru_cache(maxsize=_LADDER_CACHE)
+def _ladder_tables(two_j: int) -> tuple[np.ndarray, np.ndarray]:
+    """ladder_coeff(j, m, "raise") and (..., "lower") at every m = -j .. j, read-only.
+
+    A sector's m values are the same floats -j + k, so slices of these tables
+    are bitwise the coefficients computed from the sector's own m values.
+    """
+    j = two_j / 2
+    m = -j + np.arange(two_j + 1)
+    tables = ladder_coeff(j, m, "raise"), ladder_coeff(j, m, "lower")
+    for t in tables:
+        t.flags.writeable = False
+    return tables
+
+
 def build_sector(params: ModelParams, M: int) -> SectorOperator:
-    """Tridiagonal Liouvillian restricted to sector M: real bands, shift h*M."""
+    """Tridiagonal Liouvillian restricted to sector M: real bands, shift h*M.
+
+    Rates near the float limit can overflow the bands or the shift; that
+    raises one ValueError naming the sector instead of passing inf or NaN on.
+    """
     sec = sector_basis(params, M)
     j, G, G0, h, p = params.j, params.gamma, params.gamma0, params.h, params.p
     ms = sec.m_values()
-    diag = (
-        -G * (j + 1)
-        + (G / j) * ms * (ms - M)
-        + ((G - G0) / (2 * j)) * M**2
-        - (G * p / (2 * j)) * (2 * ms - M)
-    )
-    if sec.dim > 1:
-        src_up = ms[:-1]
-        upper = (G / j) * (1 - p) / 2 * ladder_coeff(j, src_up, "raise") * ladder_coeff(j, src_up - M, "raise")
-        src_dn = ms[1:]
-        lower = (G / j) * (1 + p) / 2 * ladder_coeff(j, src_dn, "lower") * ladder_coeff(j, src_dn - M, "lower")
-    else:
-        upper = np.zeros(0)
-        lower = np.zeros(0)
-    return SectorOperator(sector=sec, diag=diag, upper=upper, lower=lower, shift=h * M)
+    n = sec.dim
+    # table index of the sector's first m (m_min = -j + k0) and of m_min - M
+    k0 = max(0, M)
+    c_raise, c_lower = _ladder_tables(params.two_j)
+    with np.errstate(over="ignore", invalid="ignore"):
+        diag = (
+            -G * (j + 1)
+            + (G / j) * ms * (ms - M)
+            + ((G - G0) / (2 * j)) * M**2
+            - (G * p / (2 * j)) * (2 * ms - M)
+        )
+        # upper couples m -> m+1 with C+(m) C+(m-M), lower m -> m-1 with C-(m) C-(m-M)
+        upper = (G / j) * (1 - p) / 2 * c_raise[k0 : k0 + n - 1] * c_raise[k0 - M : k0 - M + n - 1]
+        lower = (G / j) * (1 + p) / 2 * c_lower[k0 + 1 : k0 + n] * c_lower[k0 + 1 - M : k0 + n - M]
+    shift = h * M
+    if not (np.isfinite(diag).all() and np.isfinite(upper).all() and np.isfinite(lower).all()
+            and math.isfinite(shift)):
+        raise ValueError(f"sector operator overflows the double range (two_j={params.two_j}, M={M})")
+    return SectorOperator(sector=sec, diag=diag, upper=upper, lower=lower, shift=shift)
 
 
 def gamma0_shift_check(params: ModelParams, M: int) -> float:

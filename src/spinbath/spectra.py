@@ -4,13 +4,15 @@ Every sector operator holds real bands plus the scalar shift h*M, meaning
 i*shift on its diagonal, and for |p| < 1 both off-diagonal bands are strictly
 positive.  Such bands are diagonally similar to a real symmetric tridiagonal
 matrix, so the spectrum is {real value + i*shift} exactly and is obtained,
-fully converged, from the symmetric eigenproblem of the bands as they are.
-Every eigenvalue carries the same i*shift, so L - lambda is the real bands
-minus Re(lambda), and each eigenvector is one real LAPACK tridiagonal solve
-(dgtsv, one call per block of eigenvalues), i.e. a single inverse-iteration
-step from a fixed start vector.  Near a coalesced pair both shifts land on the
-common direction, which is precisely the physics the eigenvector distance d_N
-is meant to capture.
+fully converged, from the symmetric eigenproblem of the bands as they are:
+one direct LAPACK dstevd call per sector.  Every eigenvalue carries the same
+i*shift, so L - lambda is the real bands minus Re(lambda), and each
+eigenvector is one real LAPACK tridiagonal solve (dgtsv, one call per block
+of eigenvalues), i.e. a single inverse-iteration step from a fixed start
+vector, built once per dimension and cached read-only.  The residuals
+||(L - lambda) v|| are computed on the real bands as well.  Near a coalesced
+pair both shifts land on the common direction, which is precisely the physics
+the eigenvector distance d_N is meant to capture.
 
 Each coalescence decision lives once, here: pair_distances is the one d_N
 formula (eigenvector_distance reads one entry of it), doublet_members the one
@@ -25,10 +27,10 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import eigvalsh_tridiagonal
-from scipy.linalg.lapack import dgtsv
+from scipy.linalg.lapack import dgtsv, dstevd
 
 from .liouvillian import SectorOperator, build_sector
 
@@ -58,6 +60,9 @@ __all__ = [
 DISTANCE_FLOOR = 1e-12
 
 _INV_ITER_SEED = 12345
+
+# start vectors kept, one per sector dimension (a 2j sweep uses 2j + 1 of them)
+_START_CACHE = 256
 
 # a bounded diagonalize solves this many columns first; each later block doubles the total
 _FIRST_BLOCK = 64
@@ -150,14 +155,23 @@ class DensityOfStates:
 def eigenvalues_only(op: SectorOperator) -> np.ndarray:
     """Sector spectrum (descending real part) without eigenvectors.
 
-    Uses the similarity to a real symmetric tridiagonal for |p| < 1; at the
-    triangular limits the spectrum is the diagonal itself.  Bands that are
-    neither same-signed nor one-sided (never built by build_sector) raise
-    EigensolverError.
+    Uses the similarity to a real symmetric tridiagonal for |p| < 1, whose
+    eigenvalues come from one direct LAPACK dstevd call without eigenvectors
+    (the routine scipy's eigvalsh_tridiagonal picks, minus its argument
+    checks); at the triangular limits the spectrum is the diagonal itself.
+    Non-finite bands, and bands that are neither same-signed nor one-sided
+    (neither is built by build_sector), raise EigensolverError.
     """
     prod = op.upper * op.lower
-    if np.all(prod > 0):
-        w = eigvalsh_tridiagonal(op.diag, np.sqrt(prod))[::-1]
+    if not (np.isfinite(op.diag).all() and np.isfinite(prod).all()):
+        raise _sector_error("non-finite bands", op.sector)
+    if op.dim == 1:
+        w = op.diag  # dstevd rejects an empty off-diagonal
+    elif np.all(prod > 0):
+        w, _, info = dstevd(op.diag, np.sqrt(prod), compute_v=0)
+        if info:
+            raise _sector_error(f"dstevd failed (info={info})", op.sector)
+        w = w[::-1]
     elif np.all(op.upper == 0) or np.all(op.lower == 0):
         w = np.sort(op.diag)[::-1]
     else:
@@ -166,15 +180,28 @@ def eigenvalues_only(op: SectorOperator) -> np.ndarray:
     return w + 1j * op.shift
 
 
-def _inverse_iteration(op: SectorOperator, lams: np.ndarray) -> np.ndarray:
+@lru_cache(maxsize=_START_CACHE)
+def _start_vector(n: int) -> np.ndarray:
+    """The fixed start of inverse iteration in dimension n: seeded normals, max-normalised, times 2^-1000.
+
+    Every caller gets the same array, so it is read-only; each miss draws from
+    its own Generator, so threads share no generator state.
+    """
+    v0 = np.random.default_rng(_INV_ITER_SEED).standard_normal(n)
+    b = v0 / np.abs(v0).max() * 2.0**-1000
+    b.flags.writeable = False
+    return b
+
+
+def _inverse_iteration(op: SectorOperator, lams: np.ndarray, scale: float) -> np.ndarray:
     """Real unit right eigenvectors, one LAPACK tridiagonal solve per block of eigenvalues.
 
     Every eigenvalue carries the operator's i*shift, so L - lam is the real
     bands minus Re(lam), and the eigenvectors are real.
-    Each column solves the bands divided by op.scale(), shifted by its lam,
-    from one fixed start vector scaled by 2^-1000.  That start keeps the
-    resolvent of this highly non-normal family inside the double range, and
-    the division makes this window independent of gamma.  Up to
+    Each column solves the bands divided by scale (op.scale()), shifted by its
+    lam, from one fixed start vector scaled by 2^-1000 (_start_vector).  That
+    start keeps the resolvent of this highly non-normal family inside the
+    double range, and the division makes this window independent of gamma.  Up to
     _SOLVE_ELEMENTS // dim columns go to one dgtsv call as the block-diagonal
     system of their shifted copies: the couplings between copies are 0, so
     elimination never crosses a copy and each column is bitwise its own solve.
@@ -191,9 +218,7 @@ def _inverse_iteration(op: SectorOperator, lams: np.ndarray) -> np.ndarray:
     p = 0.99, where a full one reports 380 and 864.
     """
     n = op.dim
-    v0 = np.random.default_rng(_INV_ITER_SEED).standard_normal(n)
-    b = v0 / np.abs(v0).max() * 2.0**-1000
-    scale = op.scale()
+    b = _start_vector(n)
     diag, lam = op.diag / scale, lams.real / scale
     k = max(1, min(len(lams), _SOLVE_ELEMENTS // n))
     # k copies of each off-diagonal band, each closed by a zero coupling to the next copy;
@@ -244,8 +269,8 @@ def check_bound(bound: float) -> None:
         raise ValueError(f"coalescence bound must lie in (0, 1), got {bound}")
 
 
-def _eigenvectors_to_precursor(op: SectorOperator, w: np.ndarray, bound: float) -> np.ndarray:
-    """Leading columns of _inverse_iteration(op, w), down to the precursor at bound.
+def _eigenvectors_to_precursor(op: SectorOperator, w: np.ndarray, bound: float, scale: float) -> np.ndarray:
+    """Leading columns of _inverse_iteration(op, w, scale), down to the precursor at bound.
 
     Blocks of columns are solved and appended (the first _FIRST_BLOCK, then
     doubling the total) until the first open doublet at bound and the
@@ -259,7 +284,7 @@ def _eigenvectors_to_precursor(op: SectorOperator, w: np.ndarray, bound: float) 
         stop = min(max(_FIRST_BLOCK, 2 * k), n)
         if stop == n - 1:
             stop = n  # a one-column block is normalised by another summation order: take it along
-        V = np.hstack([V, _inverse_iteration(op, w[k:stop])])
+        V = np.hstack([V, _inverse_iteration(op, w[k:stop], scale)])
         if _first_open_doublet(_distances(V), bound) + 1 < stop:
             break
     return V
@@ -278,23 +303,34 @@ def diagonalize(op: SectorOperator, bound: float | None = None) -> SpectralDecom
         raise ValueError("empty sector operator")
     if bound is not None:
         check_bound(bound)
-    try:
-        w = eigenvalues_only(op)
-        if op.dim == 1:
-            V = np.ones((1, 1))
-        elif bound is None:
-            V = _inverse_iteration(op, w)
-        else:
-            V = _eigenvectors_to_precursor(op, w, bound)
-    except np.linalg.LinAlgError as exc:
-        raise _sector_error(str(exc), op.sector) from exc
+    w = eigenvalues_only(op)
+    scale = op.scale()
+    if op.dim == 1:
+        V = np.ones((1, 1))
+    elif bound is None:
+        V = _inverse_iteration(op, w, scale)
+    else:
+        V = _eigenvectors_to_precursor(op, w, bound, scale)
     return SpectralDecomposition(
         sector=op.sector,
         eigenvalues=w,
         right_eigenvectors=V,
-        residual_norms=np.linalg.norm(op.matvec(V) - V * w[: V.shape[1]], axis=0),
-        operator_scale=op.scale(),
+        residual_norms=_residual_norms(op, V, w.real[: V.shape[1]]),
+        operator_scale=scale,
     )
+
+
+def _residual_norms(op: SectorOperator, V: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """||L v - lambda v|| per column of V, in real arithmetic.
+
+    Each eigenvalue is lam + i*shift exactly, so the i*shift of L cancels and
+    the residual is (real bands - lam) v, with no complex temporaries.
+    """
+    R = op.diag[:, None] * V
+    R[1:] += op.upper[:, None] * V[:-1]
+    R[:-1] += op.lower[:, None] * V[1:]
+    R -= V * lam
+    return np.linalg.norm(R, axis=0)
 
 
 def eigenvector_distance(dec: SpectralDecomposition, N: int) -> float:
@@ -306,7 +342,7 @@ def eigenvector_distance(dec: SpectralDecomposition, N: int) -> float:
 
 
 def _distances(V: np.ndarray) -> np.ndarray:
-    ov = np.abs(np.sum(V[:, 1:].conj() * V[:, :-1], axis=0))
+    ov = np.abs(np.sum(V[:, 1:] * V[:, :-1], axis=0))
     return np.clip(1.0 - ov, 0.0, 1.0)
 
 

@@ -298,6 +298,22 @@ def test_non_finite_parameter_is_one_line_error(capsys, tmp_path):
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("argv", [["spectrum", "--two-j", "4", "--p", "0.5"],
+                                  ["evolve", "--two-j", "4", "--p", "0.5", "--initial", "fock:m=top"]])
+def test_overflowing_bands_are_one_line_error(tmp_path, argv):
+    # gamma = 1e308 overflows the bands: build_sector rejects them, with no numpy warning on stderr
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("gamma=1e308\n", encoding="utf-8")
+    out = tmp_path / "out"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(spinbath.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "spinbath", *argv, "--config", str(cfg), "--out", str(out)],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: sector operator overflows the double range (two_j=4, M=")
+    assert len(proc.stderr.splitlines()) == 1
+    assert not out.exists()
+
+
 def test_eigensolver_failure_is_one_line_error(capsys, monkeypatch, tmp_path):
     import spinbath.cli as cli
     from spinbath.spectra import EigensolverError

@@ -3,7 +3,7 @@ import pytest
 
 from spinbath.closed_forms import o3_eigenvalue
 from spinbath.liouvillian import build_bruteforce, build_sector, gamma0_shift_check
-from spinbath.model import ModelParams
+from spinbath.model import ModelParams, ladder_coeff
 from spinbath.verification import multiset_match_error
 
 
@@ -34,6 +34,30 @@ def test_corner_sector_is_scalar():
     op = build_sector(ModelParams(two_j=7, p=0.3), 7)
     assert op.dim == 1
     assert len(op.upper) == 0 and len(op.lower) == 0
+
+
+@pytest.mark.parametrize("two_j", [1, 2, 7, 20, 81])
+def test_bands_from_ladder_tables_are_per_sector_coefficients(two_j):
+    # slices of the per-size ladder tables against ladder_coeff at the sector's own m values
+    params = ModelParams(two_j=two_j, h=0.9, gamma=1.3, gamma0=0.4, p=0.37)
+    j, G, p = params.j, params.gamma, params.p
+    for M in range(-two_j, two_j + 1):
+        op = build_sector(params, M)
+        ms = op.sector.m_values()
+        up, dn = ms[:-1], ms[1:]
+        upper = (G / j) * (1 - p) / 2 * ladder_coeff(j, up, "raise") * ladder_coeff(j, up - M, "raise")
+        lower = (G / j) * (1 + p) / 2 * ladder_coeff(j, dn, "lower") * ladder_coeff(j, dn - M, "lower")
+        assert op.upper.tobytes() == upper.tobytes() and op.lower.tobytes() == lower.tobytes()
+        assert op.upper.dtype == op.lower.dtype == np.float64
+
+
+@pytest.mark.parametrize("gamma,h,Ms", [(1e308, 1.0, (0, -3, 4)), (1.0, 1e308, (2, -4))])
+def test_overflowing_operator_raises_naming_the_sector(gamma, h, Ms):
+    # the rates are finite, the bands or the shift h*M are not: rejected where they are built,
+    # without numpy warnings
+    for M in Ms:
+        with pytest.raises(ValueError, match=rf"overflows the double range \(two_j=4, M={M}\)"):
+            build_sector(ModelParams(two_j=4, p=0.5, gamma=gamma, h=h), M)
 
 
 def test_triangularity_limits():

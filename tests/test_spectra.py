@@ -1,8 +1,13 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
+from scipy.linalg import eigvalsh_tridiagonal
 from scipy.linalg.lapack import dgtsv
 from scipy.optimize import linear_sum_assignment
 
+from spinbath import liouvillian
 from spinbath import spectra as sp
 from spinbath.liouvillian import SectorOperator, build_sector
 from spinbath.model import ModelParams, sector_basis
@@ -71,12 +76,14 @@ def test_repeated_singular_solve_raises(monkeypatch):
         dec_for(8, 0.5, 2)
 
 
-def per_column_eigenvectors(op, nudged=()):
+def per_column_eigenvectors(op, nudged=(), lams=None):
     """The loop the batched solve replaced: one dgtsv call per eigenvalue, the same normalisation.
 
-    A column in nudged is solved with its diagonal nudged by 1e-13 from the start.
+    A column in nudged is solved with its diagonal nudged by 1e-13 from the start.  The start
+    vector comes from a fresh Generator, the shifts from lams (default: eigenvalues_only).
     """
-    n, lams = op.dim, sp.eigenvalues_only(op)
+    n = op.dim
+    lams = sp.eigenvalues_only(op) if lams is None else lams
     v0 = np.random.default_rng(sp._INV_ITER_SEED).standard_normal(n)
     b = (v0 / np.abs(v0).max() * 2.0**-1000)[:, None]
     scale = op.scale()
@@ -113,6 +120,67 @@ def test_batched_solve_is_per_column_solve(monkeypatch, two_j, p):
     assert V.tobytes() == per_column_eigenvectors(op).tobytes()
     # at p = +-1 every shift is singular, and still the rows passed stay linear in the columns
     assert sum(rows) <= 4 * op.dim**2
+
+
+def reference_decomposition(op):
+    """The per-sector path before the direct LAPACK calls, step by step.
+
+    eigvalsh_tridiagonal eigenvalues, per-column solves from a start drawn by a fresh Generator,
+    complex residuals from op.matvec, and conjugated overlaps for d_N.
+    """
+    prod = op.upper * op.lower
+    w = eigvalsh_tridiagonal(op.diag, np.sqrt(prod))[::-1] if np.all(prod > 0) else np.sort(op.diag)[::-1]
+    w = w + 1j * op.shift
+    V = np.ones((1, 1)) if op.dim == 1 else per_column_eigenvectors(op, lams=w)
+    residuals = np.linalg.norm(op.matvec(V) - V * w, axis=0)
+    distances = np.clip(1.0 - np.abs(np.sum(V[:, 1:].conj() * V[:, :-1], axis=0)), 0.0, 1.0)
+    return w, V, residuals, distances, op.scale()
+
+
+@pytest.mark.parametrize("two_j", [1, 2, 7, 20, 80, 320])
+def test_diagonalize_is_bitwise_the_reference_path(two_j):
+    # the direct dstevd call, the cached start, one scale and the real residuals change no bit;
+    # M = two_j is the 1-dimensional sector, p = +-1 the triangular limits with nudged columns
+    for p in (-1.0, -0.5, 0.0, 0.5, 0.99, 1.0):
+        for gamma in (1.0, 2.0**-400, 2.0**400):
+            for M in sorted({0, 1, -2, two_j} & set(range(-two_j, two_j + 1))):
+                op = build_sector(ModelParams(two_j=two_j, p=p, gamma=gamma, h=0.7), M)
+                dec = sp.diagonalize(op)
+                *ref, scale = reference_decomposition(op)
+                got = (dec.eigenvalues, dec.right_eigenvectors, dec.residual_norms, dec.distances)
+                for a, b in zip(got, ref):
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+                assert dec.operator_scale == scale
+
+
+def test_start_vector_is_cached_and_read_only():
+    b = sp._start_vector(9)
+    assert sp._start_vector(9) is b
+    assert not b.flags.writeable
+    with pytest.raises(ValueError):
+        b[0] = 1.0
+
+
+def test_shared_caches_under_threads():
+    # the thread pool shares the start-vector and ladder caches: concurrent misses and hits
+    # must give the bits of a serial run
+    params = ModelParams(two_j=20, p=0.5)
+
+    def run():
+        return [sp.diagonalize(build_sector(params, M)).right_eigenvectors.tobytes() for M in range(-20, 21)]
+
+    serial = run()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        sp._start_vector.cache_clear()
+        liouvillian._ladder_tables.cache_clear()
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(run) for _ in range(8)]
+            results = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(r == serial for r in results)
 
 
 @pytest.mark.parametrize("row", [1, 641])
@@ -459,6 +527,18 @@ def test_eigenvalues_only_rejects_mixed_sign_bands():
         shift=0.0,
     )
     with pytest.raises(sp.EigensolverError, match="mixed sign"):
+        sp.eigenvalues_only(op)
+    with pytest.raises(sp.EigensolverError):
+        sp.diagonalize(op)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("band", ["diag", "upper", "lower"])
+def test_eigenvalues_only_rejects_non_finite_bands(band, value):
+    bands = {"diag": -np.arange(1.0, 6.0), "upper": np.ones(4), "lower": np.ones(4)}
+    bands[band][2] = value
+    op = SectorOperator(sector=sector_basis(ModelParams(two_j=4), 0), shift=0.0, **bands)
+    with pytest.raises(sp.EigensolverError, match=r"non-finite bands \(two_j=4, M=0\)"):
         sp.eigenvalues_only(op)
     with pytest.raises(sp.EigensolverError):
         sp.diagonalize(op)
