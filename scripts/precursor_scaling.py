@@ -15,14 +15,13 @@ import argparse
 from spinbath.cli import main as cli
 
 
-def run(outdir: str, jobs: int) -> None:
+def run(outdir: str) -> None:
     cli([
         "scaling",
         "--two-j", "40 80 160 320 640",
         "--p", "0.5",
         "--gamma-bound", "1e-4 1e-5 1e-6",
         "--out", f"{outdir}/precursor_p05",
-        "--jobs", str(jobs),
     ])
     # doublet-distance decay across polarizations (small sizes carry the
     # signal at large p; the scan stops at the double-precision floor)
@@ -32,13 +31,11 @@ def run(outdir: str, jobs: int) -> None:
         "--p", "0.05 0.1 0.2 0.35 0.5 0.7 0.9 0.999",
         "--gamma-bound", "1e-4",
         "--out", f"{outdir}/d1_sweep",
-        "--jobs", str(jobs),
     ])
 
 
 if __name__ == "__main__":
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", default="out/scaling")
-    ap.add_argument("--jobs", type=int, default=2)
     args = ap.parse_args()
-    run(args.out, args.jobs)
+    run(args.out)

@@ -7,13 +7,12 @@ import argparse
 from spinbath.cli import main as cli
 
 
-def run(outdir: str, jobs: int) -> None:
+def run(outdir: str) -> None:
     cli([
         "spectrum",
         "--two-j", "40",
         "--p", "0 0.5 0.99",
         "--out", f"{outdir}/panels",
-        "--jobs", str(jobs),
     ])
     cli([
         "spectrum",
@@ -21,13 +20,11 @@ def run(outdir: str, jobs: int) -> None:
         "--p", "0 0.2 0.4 0.5 0.6 0.8 0.9 0.99 1",
         "--m", "0",
         "--out", f"{outdir}/m0_sweep",
-        "--jobs", str(jobs),
     ])
 
 
 if __name__ == "__main__":
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", default="out/spectrum")
-    ap.add_argument("--jobs", type=int, default=2)
     args = ap.parse_args()
-    run(args.out, args.jobs)
+    run(args.out)

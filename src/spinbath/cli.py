@@ -5,13 +5,13 @@ its flag help (None for a config-only key), the function that parses its text
 and its default text.  Defaults, an optional key=value file and flags are
 merged in that order (flags win) and each value is parsed once, so the
 commands get typed values; a value its parser rejects is a usage error that
-names the key.  Sweep points of spectrum and scaling run on a bounded thread
-pool (--jobs) and are merged in configuration order, so identical
-configurations give byte-identical CSV regardless of --jobs.  More threads
-are not always faster: `spectrum --two-j 80 --p "0 0.5 0.99"` takes
-0.46-0.50 s with --jobs 2 against 0.32-0.40 s with --jobs 1 on 2 CPUs (in
-process, median of 7 passes in each of 4 rounds); scipy's LAPACK eigenvalue
-call (dstevd) holds the interpreter lock, so two threads cannot overlap it.
+names the key.  Sweep points of spectrum and scaling run one after another
+in the calling thread, in configuration order.  --jobs is still parsed and
+checked (at least 1) but has no effect: scipy's LAPACK calls (dstevd,
+dgtsv) hold the interpreter lock, so threads cannot overlap them, and
+`spectrum --two-j 80 --p "0 0.5 0.99"` took 0.474 s on a 2-thread pool
+against 0.336 s in one thread on 2 CPUs (in process, median of 7 passes in
+each of 6 rounds).
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import argparse
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -29,6 +28,7 @@ from . import spectra as sp
 from .liouvillian import build_sector
 from .model import ModelParams
 from .output import (
+    RowGroups,
     fmt,
     parse_float_list,
     parse_initial,
@@ -84,10 +84,8 @@ def _params(cfg: dict, two_j: int, p: float) -> ModelParams:
 
 
 def _pool_map(jobs: int, fn, items):
-    if jobs <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
+    """fn over items in order, in the calling thread; jobs is accepted and not used."""
+    return [fn(it) for it in items]
 
 
 # leading CSV columns of every sweep row, the values of _provenance
@@ -121,13 +119,13 @@ def cmd_spectrum(args) -> int:
         dec = sp.diagonalize(build_sector(params, M))
         d = sp.pair_distances(dec)
         w = dec.eigenvalues
-        prov = _provenance(params, M)
-        rows = [prov + [N, re, im, dN]
-                for N, (re, im, dN) in enumerate(zip(w.real.tolist(), w.imag.tolist(), d.tolist() + [math.nan]))]
-        return rows, (w.real / (two_j / 2), w.imag, sp.doublet_members(d, cfg["doublet_threshold"]))
+        # the provenance cells lead every row of the sector and are formatted once
+        tails = list(zip(range(len(w)), w.real.tolist(), w.imag.tolist(), d.tolist() + [math.nan]))
+        return (_provenance(params, M), tails), (w.real / (two_j / 2), w.imag,
+                                                  sp.doublet_members(d, cfg["doublet_threshold"]))
 
     results = _pool_map(cfg["jobs"], work, tasks)
-    rows = [r for chunk, _ in results for r in chunk]
+    rows = RowGroups(group for group, _ in results)
     csv_path = write_csv(
         os.path.join(out, "spectra.csv"),
         PROVENANCE + ["N", "re_lambda", "im_lambda", "d_N"],
@@ -306,7 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
         "gamma": (None, float, "1"),
         "gamma0": (None, float, "0"),
     }
-    jobs = {"jobs": ("worker threads for sweeps", int, "1")}
+    jobs = {"jobs": ("accepted for compatibility, no effect: sweeps run in one thread, because "
+                     "scipy's LAPACK calls hold the interpreter lock (at least 1)", int, "1")}
     for name, fn, help_, needs, keys in (
         ("spectrum", cmd_spectrum, "emit sector spectra and a scatter plot", ("two_j", "p"), {
             **shared, **jobs,

@@ -400,7 +400,10 @@ def btc_experiment(params: ModelParams, two_j_list, times, cross_check_max_two_j
     out = {}
     for two_j in two_j_list:
         j = two_j / 2.0
-        decay = np.exp(-(params.gamma + params.gamma0) * ts / (2 * j))
+        # a huge rate overflows the exponent to -inf (decay 0), or to NaN as inf*0 at t = 0 (decay 1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            decay = np.exp(-(params.gamma + params.gamma0) * ts / (2 * j))
+        decay[ts == 0] = 1.0
         vals = np.sin(theta) * decay * np.cos(params.h * ts + phi)
         if two_j <= cross_check_max_two_j:
             pj = ModelParams(two_j=two_j, h=params.h, gamma=params.gamma, gamma0=params.gamma0, p=0.0)

@@ -3,7 +3,7 @@ static SVG plots, and the key=value run-configuration format.
 
 CSV is the data contract; SVG is convenience only.  Identical configurations
 must produce byte-identical CSV, so every cell is formatted by the one rule
-of fmt(), which write_csv applies a row at a time.
+of fmt(), which write_csv applies a row, or a group's shared lead cells, at a time.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import numpy as np
 __all__ = [
     "fmt",
     "write_csv",
+    "RowGroups",
     "read_config",
     "parse_time_grid",
     "parse_float_list",
@@ -45,26 +46,53 @@ def fmt(x) -> str:
     return f"{x.real:.17g}{x.imag:+.17g}j" if spec is None else spec % (x,)
 
 
+class RowGroups:
+    """Rows stored as (lead, tails) groups: the rows lead + tail, for each tail of each group.
+
+    write_csv formats the lead cells of a group once for all its rows.  len()
+    and iteration give the rows themselves, so a RowGroups stands wherever a
+    list of rows does.
+    """
+
+    def __init__(self, groups):
+        self.groups = [(tuple(lead), tails) for lead, tails in groups]
+
+    def __len__(self) -> int:
+        return sum(len(tails) for _, tails in self.groups)
+
+    def __iter__(self):
+        return (lead + tuple(tail) for lead, tails in self.groups for tail in tails)
+
+
 def write_csv(path: str, header: list, rows) -> str:
     """UTF-8 comma-separated file with a header row; each cell reads as fmt(cell).
 
-    Rows are formatted by one %-template per tuple of cell types.  A complex
-    cell has no single %-spec, so its row goes through fmt cell by cell; no
+    Cells are formatted by one %-template per tuple of cell types.  A complex
+    cell has no single %-spec, so its cells go through fmt one by one; no
     command writes one, but write_csv still equals fmt per cell for any input.
+    rows may be a RowGroups, whose lead cells are formatted once per group.
     """
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    groups = rows.groups if isinstance(rows, RowGroups) else [((), rows)]
     templates = {}
+
+    def text(cells: tuple) -> str:
+        kinds = tuple(map(type, cells))
+        if kinds not in templates:
+            specs = list(map(_spec, kinds))
+            templates[kinds] = None if None in specs else ",".join(specs)
+        line = templates[kinds]
+        return line % cells if line is not None else ",".join(map(fmt, cells))
+
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(",".join(header) + "\n")
-            for row in rows:
-                row = tuple(row)
-                kinds = tuple(map(type, row))
-                if kinds not in templates:
-                    specs = list(map(_spec, kinds))
-                    templates[kinds] = None if None in specs else ",".join(specs) + "\n"
-                line = templates[kinds]
-                fh.write(line % row if line else ",".join(map(fmt, row)) + "\n")
+            for lead, tails in groups:
+                head = text(lead)
+                prefix = head + "," if lead else ""
+                for row in tails:
+                    row = tuple(row)
+                    fh.write((prefix + text(row) if row else head) + "\n")
     except OSError as exc:
         raise OSError(f"cannot write CSV to {path}: {exc}") from exc
     return path

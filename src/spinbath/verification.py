@@ -51,7 +51,8 @@ def check_bruteforce_oracle() -> CheckResult:
                 full = build_bruteforce(params)
                 outside = np.ones(full.matrix.shape, dtype=bool)
                 for M in range(-two_j, two_j + 1):
-                    block = np.ix_(full.sector_indices(M), full.sector_indices(M))
+                    idx = full.sector_indices(M)
+                    block = np.ix_(idx, idx)
                     outside[block] = False
                     w = sp.eigenvalues_only(build_sector(params, M))
                     worst = max(worst, multiset_match_error(np.linalg.eigvals(full.matrix[block]), w))

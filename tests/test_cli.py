@@ -1,15 +1,19 @@
 import dataclasses
+import importlib.util
+import inspect
 import math
 import os
 import subprocess
 import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import spinbath
 from spinbath.cli import main
-from spinbath.liouvillian import build_bruteforce
+from spinbath.liouvillian import build_bruteforce, build_sector
 from spinbath.output import (
     fmt,
     parse_float_list,
@@ -298,18 +302,36 @@ def test_non_finite_parameter_is_one_line_error(capsys, tmp_path):
     assert len(err.splitlines()) == 1
 
 
-@pytest.mark.parametrize("argv", [["spectrum", "--two-j", "4", "--p", "0.5"],
-                                  ["evolve", "--two-j", "4", "--p", "0.5", "--initial", "fock:m=top"]])
-def test_overflowing_bands_are_one_line_error(tmp_path, argv):
-    # gamma = 1e308 overflows the bands: build_sector rejects them, with no numpy warning on stderr
+def run_module_with_config(tmp_path, argv, cfg_line):
+    """python -m spinbath argv with a one-line config file; the completed process and its --out path."""
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("gamma=1e308\n", encoding="utf-8")
+    cfg.write_text(cfg_line + "\n", encoding="utf-8")
     out = tmp_path / "out"
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(spinbath.__file__)))
     proc = subprocess.run([sys.executable, "-m", "spinbath", *argv, "--config", str(cfg), "--out", str(out)],
                           env=env, capture_output=True, text=True)
+    return proc, out
+
+
+@pytest.mark.parametrize("argv", [["spectrum", "--two-j", "4", "--p", "0.5"],
+                                  ["evolve", "--two-j", "4", "--p", "0.5", "--initial", "fock:m=top"]])
+def test_overflowing_bands_are_one_line_error(tmp_path, argv):
+    # gamma = 1e308 overflows the bands: build_sector rejects them, with no numpy warning on stderr
+    proc, out = run_module_with_config(tmp_path, argv, "gamma=1e308")
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: sector operator overflows the double range (two_j=4, M=")
+    assert len(proc.stderr.splitlines()) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["spectrum", "--two-j", "4", "--p", "0.5"],
+                                  ["evolve", "--two-j", "4", "--p", "0.5", "--initial", "fock:m=top"]])
+def test_underflowing_bands_are_one_line_error(tmp_path, argv):
+    # gamma = 1e-320 underflows the products of mirrored band entries to 0; unchecked, spectrum
+    # would report off-diagonal bands of mixed sign, a defect the input lacks
+    proc, out = run_module_with_config(tmp_path, argv, "gamma=1e-320")
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: sector operator underflows the double range (two_j=4, M=")
     assert len(proc.stderr.splitlines()) == 1
     assert not out.exists()
 
@@ -555,3 +577,60 @@ def test_cli_import_leaves_out_scipy_optimize():
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("argv", [["spectrum", "--two-j", "6 8", "--p", "0 0.5"],
+                                  ["scaling", "--two-j", "8 12 16", "--p", "0.2 0.5"]])
+def test_sweeps_build_every_sector_on_the_calling_thread(tmp_path, monkeypatch, argv):
+    # --jobs is accepted but has no effect: scipy's LAPACK calls hold the interpreter lock,
+    # so a thread pool only added overhead
+    import spinbath.cli as cli
+
+    threads = []
+
+    def recording(params, M):
+        threads.append(threading.get_ident())
+        return build_sector(params, M)
+
+    monkeypatch.setattr(cli, "build_sector", recording)
+    assert main(argv + ["--jobs", "3", "--out", str(tmp_path)]) == 0
+    assert threads and set(threads) == {threading.get_ident()}
+
+
+def test_perfbench_instrument_names_exist():
+    # perfbench traces names outside the modules' __all__ (instrument.EXTRA) and rewrites
+    # _pool_map's (jobs, fn, items) arguments; a rename here would break its traced runs
+    import spinbath.cli as cli
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "instrument.py"
+    spec = importlib.util.spec_from_file_location("perfbench_instrument", path)
+    instrument = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(instrument)
+    for module, names in instrument.EXTRA.items():
+        mod = importlib.import_module(f"spinbath.{module}")
+        for name in names:
+            assert callable(getattr(mod, name, None)), f"spinbath.{module}.{name}"
+    assert list(inspect.signature(cli._pool_map).parameters)[:3] == ["jobs", "fn", "items"]
+
+
+SCRIPT_CSVS = {
+    "spectrum_panels.py": ["panels/spectra.csv", "m0_sweep/spectra.csv"],
+    "precursor_scaling.py": [f"{run}/{name}.csv" for run in ("precursor_p05", "d1_sweep")
+                             for name in ("doublet_eigenvalues", "d1_decay", "precursor", "fits")],
+    "slowdown_compare.py": ["traces.csv", "derived.csv"],
+    "critical_dynamics.py": ["oscillations/traces.csv", "entropy/traces.csv", "entropy/derived.csv"],
+}
+
+
+def test_scripts_write_their_csvs(tmp_path):
+    scripts = Path(__file__).resolve().parents[1] / "scripts"
+    assert sorted(p.name for p in scripts.glob("*.py")) == sorted(SCRIPT_CSVS)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(spinbath.__file__)))
+    for script, csvs in SCRIPT_CSVS.items():
+        out = tmp_path / script
+        proc = subprocess.run([sys.executable, str(scripts / script), "--out", str(out)],
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        for csv in csvs:
+            lines = read(out / csv).splitlines()
+            assert len(lines) > 1, f"{script}: {csv}"

@@ -312,6 +312,16 @@ def test_btc_curves():
             assert np.abs(num - law).max() < 1e-13
 
 
+@pytest.mark.parametrize("gamma0", [0.0, 1e308])
+def test_btc_huge_rate_decays_without_warning(gamma0):
+    # Gamma t overflows the exponent (and Gamma + Gamma0 itself at gamma0 = 1e308, giving inf * 0 at
+    # t = 0); RuntimeWarnings are errors here, so any numpy overflow warning fails this test
+    ts = parse_time_grid("lin:0:3:61")
+    vals = dyn.btc_experiment(ModelParams(two_j=4, gamma=1e308, gamma0=gamma0, p=0.0), [4], ts)[4].values
+    assert vals[0] == 1.0
+    assert np.all(vals[1:] == 0)
+
+
 @pytest.mark.parametrize("grid", ["lin:0:3:61", "lin:0:3000:121"])
 def test_propagate_p0_large_j_against_closed_form(grid):
     # the eigenbasis path at a size no other test propagates at p = 0

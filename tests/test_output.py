@@ -7,7 +7,7 @@ import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from spinbath.output import fmt, svg_lines, svg_scatter, write_csv
+from spinbath.output import RowGroups, fmt, svg_lines, svg_scatter, write_csv
 
 GROUPS = [
     ("a", [0.0, 1.0, 2.0], [1.0, 4.0, 9.0]),
@@ -71,14 +71,40 @@ def reference_fmt(x) -> str:
     return str(x)
 
 
+def expected_csv(rows) -> bytes:
+    return ("a,b\n" + "".join(",".join(map(fmt, row)) + "\n" for row in rows)).encode("utf-8")
+
+
+def written_csv(rows) -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        return Path(write_csv(str(Path(tmp) / "x.csv"), ["a", "b"], rows)).read_bytes()
+
+
 @given(st.data())
 def test_write_csv_is_fmt_per_cell(data):
     # rows share a few tuples of cell types, so each row template is used for several rows
     kinds = data.draw(st.lists(st.lists(st.sampled_from(CELLS), max_size=6), min_size=1, max_size=3))
     rows = data.draw(st.lists(st.sampled_from(kinds).flatmap(lambda row: st.tuples(*row)), max_size=12))
-    with tempfile.TemporaryDirectory() as tmp:
-        path = write_csv(str(Path(tmp) / "x.csv"), ["a", "b"], [list(r) for r in rows])
-        written = Path(path).read_bytes()
-    expected = "a,b\n" + "".join(",".join(map(fmt, row)) + "\n" for row in rows)
-    assert written == expected.encode("utf-8")
+    assert written_csv([list(r) for r in rows]) == expected_csv(rows)
     assert [list(map(fmt, row)) for row in rows] == [list(map(reference_fmt, row)) for row in rows]
+
+
+LEADS = st.lists(st.one_of(*CELLS, st.sampled_from(["%", "%d", "%s%%", "100%,"])), max_size=6)
+
+
+@given(st.data())
+def test_grouped_write_csv_is_fmt_per_cell(data):
+    # groups of rows after shared lead cells: leads may hold % signs, and the rows of one group
+    # mix tuples of cell types; each line must read as fmt of every cell of lead + row
+    kinds = data.draw(st.lists(st.lists(st.sampled_from(CELLS), max_size=4), min_size=1, max_size=3))
+    tails = st.lists(st.sampled_from(kinds).flatmap(lambda row: st.tuples(*row)), max_size=6)
+    groups = data.draw(st.lists(st.tuples(LEADS, tails), max_size=5))
+    rows = RowGroups(groups)
+    flat = [tuple(lead) + tail for lead, group in groups for tail in group]
+    assert len(rows) == len(flat) and list(rows) == flat
+    assert written_csv(rows) == expected_csv(flat)
+
+
+def test_grouped_write_csv_examples():
+    groups = [((80, 0.5, "p%d"), [(0, 1.5), (1, "x%s"), (2, 2.5)]), ((), [(3,)]), (("lead",), [()])]
+    assert written_csv(RowGroups(groups)) == b"a,b\n80,0.5,p%d,0,1.5\n80,0.5,p%d,1,x%s\n80,0.5,p%d,2,2.5\n3\nlead\n"
