@@ -100,9 +100,8 @@ def build_sector(params: ModelParams, M: int) -> SectorOperator:
     """Tridiagonal Liouvillian restricted to sector M: real bands, shift h*M.
 
     Rates near the float limit can overflow the bands or the shift, and a
-    tiny rate can underflow an off-diagonal entry, or the product of a
-    mirrored pair, to 0; either raises one ValueError naming the sector
-    instead of passing inf, NaN or a false 0 on.
+    tiny rate can underflow an off-diagonal entry to 0; either raises one
+    ValueError naming the sector instead of passing inf, NaN or a false 0 on.
     """
     sec = sector_basis(params, M)
     j, G, G0, h, p = params.j, params.gamma, params.gamma0, params.h, params.p
@@ -125,9 +124,8 @@ def build_sector(params: ModelParams, M: int) -> SectorOperator:
     if not (np.isfinite(diag).all() and np.isfinite(upper).all() and np.isfinite(lower).all()
             and math.isfinite(shift)):
         raise ValueError(f"sector operator overflows the double range (two_j={params.two_j}, M={M})")
-    # below full polarization no band entry is 0, nor the product of a mirrored pair (the
-    # symmetric form's coupling squared); a 0 there is an underflow
-    if abs(p) < 1 and not (upper * lower).all():
+    # below full polarization no off-diagonal entry is 0; a 0 there is an underflow
+    if abs(p) < 1 and not (upper.all() and lower.all()):
         raise ValueError(f"sector operator underflows the double range (two_j={params.two_j}, M={M})")
     return SectorOperator(sector=sec, diag=diag, upper=upper, lower=lower, shift=shift)
 
@@ -186,7 +184,7 @@ def build_bruteforce(params: ModelParams) -> FullLiouvillian:
     Jm = Jp.conj().T
     H = -h * Jz
     eye = np.eye(N)
-    S = -1j * (_kron(H, eye) - _kron(eye, H.T))
+    S = -1j * (np.kron(H, eye) - np.kron(eye, H.T))
     jumps = [
         np.sqrt(G0 / j) * Jz,
         np.sqrt(G / j * (1 - p) / 2) * Jp,
@@ -194,13 +192,7 @@ def build_bruteforce(params: ModelParams) -> FullLiouvillian:
     ]
     for L in jumps:
         LdL = L.conj().T @ L
-        S += _kron(L, L.conj())
-        S -= 0.5 * _kron(LdL, eye)
-        S -= 0.5 * _kron(eye, LdL.T)
+        S += np.kron(L, L.conj())
+        S -= 0.5 * np.kron(LdL, eye)
+        S -= 0.5 * np.kron(eye, LdL.T)
     return FullLiouvillian(params=params, matrix=S)
-
-
-def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.kron(a, b) of two square matrices, bitwise: the same broadcast product, without its generic setup."""
-    n, m = len(a), len(b)
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(n * m, n * m)

@@ -49,9 +49,8 @@ def fmt(x) -> str:
 class RowGroups:
     """Rows stored as (lead, tails) groups: the rows lead + tail, for each tail of each group.
 
-    write_csv formats the lead cells of a group once for all its rows.  len()
-    and iteration give the rows themselves, so a RowGroups stands wherever a
-    list of rows does.
+    write_csv formats the lead cells of a group once for all its rows; len()
+    counts the rows.
     """
 
     def __init__(self, groups):
@@ -59,9 +58,6 @@ class RowGroups:
 
     def __len__(self) -> int:
         return sum(len(tails) for _, tails in self.groups)
-
-    def __iter__(self):
-        return (lead + tuple(tail) for lead, tails in self.groups for tail in tails)
 
 
 def write_csv(path: str, header: list, rows) -> str:

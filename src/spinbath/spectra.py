@@ -159,12 +159,16 @@ def eigenvalues_only(op: SectorOperator) -> np.ndarray:
     eigenvalues come from one direct LAPACK dstevd call without eigenvectors
     (the routine scipy's eigvalsh_tridiagonal picks, minus its argument
     checks); at the triangular limits the spectrum is the diagonal itself.
-    Non-finite bands, and bands that are neither same-signed nor one-sided
-    (neither is built by build_sector), raise EigensolverError.
+    Non-finite bands, coupling products that overflow or underflow to 0, and
+    bands that are neither same-signed nor one-sided (build_sector builds
+    none of these), raise EigensolverError.
     """
-    prod = op.upper * op.lower
-    if not (np.isfinite(op.diag).all() and np.isfinite(prod).all()):
+    if not (np.isfinite(op.diag).all() and np.isfinite(op.upper).all() and np.isfinite(op.lower).all()):
         raise _sector_error("non-finite bands", op.sector)
+    with np.errstate(over="ignore"):
+        prod = op.upper * op.lower  # the symmetric coupling squared
+    if not np.isfinite(prod).all():
+        raise _sector_error("sector operator overflows the double range", op.sector)
     if op.dim == 1:
         w = op.diag  # dstevd rejects an empty off-diagonal
     elif np.all(prod > 0):
@@ -174,6 +178,9 @@ def eigenvalues_only(op: SectorOperator) -> np.ndarray:
         w = w[::-1]
     elif np.all(op.upper == 0) or np.all(op.lower == 0):
         w = np.sort(op.diag)[::-1]
+    elif op.upper.all() and np.all(np.sign(op.upper) == np.sign(op.lower)):
+        # same-signed nonzero entries whose product, the symmetric coupling squared, is 0
+        raise _sector_error("sector operator underflows the double range", op.sector)
     else:
         # mixed-sign couplings: the symmetrization above does not apply
         raise _sector_error("off-diagonal bands of mixed sign", op.sector)

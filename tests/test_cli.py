@@ -324,16 +324,44 @@ def test_overflowing_bands_are_one_line_error(tmp_path, argv):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("argv", [["spectrum", "--two-j", "4", "--p", "0.5"],
-                                  ["evolve", "--two-j", "4", "--p", "0.5", "--initial", "fock:m=top"]])
-def test_underflowing_bands_are_one_line_error(tmp_path, argv):
-    # gamma = 1e-320 underflows the products of mirrored band entries to 0; unchecked, spectrum
-    # would report off-diagonal bands of mixed sign, a defect the input lacks
-    proc, out = run_module_with_config(tmp_path, argv, "gamma=1e-320")
+SPECTRUM_P05 = ["spectrum", "--two-j", "4", "--p", "0.5"]
+
+
+@pytest.mark.parametrize("argv,gamma", [
+    # the bands are normal or subnormal doubles, but the product of a mirrored pair, the square of
+    # spectrum's symmetric coupling, underflows; unchecked, that read as bands of mixed sign
+    (SPECTRUM_P05, "1e-200"),
+    (SPECTRUM_P05, "1e-320"),
+    # the smallest subnormal rate rounds off-diagonal entries to exactly 0
+    (["evolve", "--two-j", "4", "--p", "0.5", "--initial", "fock:m=top"], "5e-324"),
+])
+def test_underflowing_bands_are_one_line_error(tmp_path, argv, gamma):
+    proc, out = run_module_with_config(tmp_path, argv, f"gamma={gamma}")
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: sector operator underflows the double range (two_j=4, M=")
     assert len(proc.stderr.splitlines()) == 1
     assert not out.exists()
+
+
+def test_overflowing_coupling_product_is_one_line_error(tmp_path):
+    # gamma = 1e200 keeps the bands finite, but spectrum's symmetric form squares the coupling
+    proc, out = run_module_with_config(tmp_path, SPECTRUM_P05, "gamma=1e200")
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: sector operator overflows the double range (two_j=4, M=")
+    assert len(proc.stderr.splitlines()) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("p,gamma", [("0.5", 1e-200), ("0", 1e-200), ("0.5", 1e-320), ("0", 1e200)])
+def test_evolve_runs_at_rates_whose_coupling_products_leave_the_double_range(capsys, tmp_path, p, gamma):
+    # propagate never forms the product of a mirrored pair, so these rates are valid runs;
+    # RuntimeWarnings are errors here, so a numpy overflow warning fails this test
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"gamma={gamma!r}\n", encoding="utf-8")
+    argv = ["evolve", "--two-j", "4", "--p", p, "--initial", "fock:m=top", "--config", str(cfg)]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().err == ""
+    assert len(read(tmp_path / "out" / "traces.csv").splitlines()) > 1
 
 
 def test_eigensolver_failure_is_one_line_error(capsys, monkeypatch, tmp_path):
