@@ -364,6 +364,34 @@ def test_evolve_runs_at_rates_whose_coupling_products_leave_the_double_range(cap
     assert len(read(tmp_path / "out" / "traces.csv").splitlines()) > 1
 
 
+@pytest.mark.parametrize("gamma", [1e14, 1e17, 1e20, 1e200])
+def test_evolve_keeps_the_trace_at_huge_rates(capsys, tmp_path, gamma):
+    # the dense propagator is squared ~log2(gamma) times; each square used to double the
+    # rounding error of its column sums, so <Jz> read -1.41 at 1e14 and 0 at 1e20
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"gamma={gamma!r}\n", encoding="utf-8")
+    argv = ["evolve", "--two-j", "4", "--p", "0.5", "--initial", "fock:m=top", "--config", str(cfg)]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().err == ""
+    rows = [r.split(",") for r in read(tmp_path / "out" / "traces.csv").splitlines()[1:]]
+    jz = [float(r[1]) for r in rows if r[-1] == "jz"]
+    # the thermal state of 2j = 4, p = 0.5, reached long before t = 0.05
+    assert jz[1:] == pytest.approx([-1.5206611570247934] * (len(jz) - 1), abs=1e-12)
+
+
+@pytest.mark.parametrize("two_j,cfg_line,message", [
+    ("4", "h=1e308", "error: phase h*t overflows the double range (h=1e+308, t=3.0)"),
+    # the cross-check propagates sectors up to M = 40, and h*M*t leaves the double range at M = 6
+    ("40", "h=1e307\ncross_check_max_two_j=40", "error: phase h*M*t overflows the double range (two_j=40, M=6)"),
+])
+def test_overflowing_field_phase_is_one_line_error(tmp_path, two_j, cfg_line, message):
+    proc, out = run_module_with_config(tmp_path, ["evolve", "--two-j", two_j, "--p", "0", "--initial", "coherent"],
+                                       cfg_line)
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == [message]
+    assert not out.exists()
+
+
 def test_eigensolver_failure_is_one_line_error(capsys, monkeypatch, tmp_path):
     import spinbath.cli as cli
     from spinbath.spectra import EigensolverError

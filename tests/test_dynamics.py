@@ -7,7 +7,7 @@ from scipy.linalg import expm
 
 from spinbath import closed_forms as cf
 from spinbath import dynamics as dyn
-from spinbath.liouvillian import build_bruteforce
+from spinbath.liouvillian import build_bruteforce, build_sector
 from spinbath.model import ModelParams
 from spinbath.output import parse_time_grid
 
@@ -91,12 +91,7 @@ def test_entropy_of_diagonal_state_positivity_rules():
     assert dyn.entropy(state) == pytest.approx(math.log(2), abs=1e-8)
 
 
-@pytest.mark.parametrize("p, n_expm", [(0.0, 0), (0.3, 10)])
-def test_propagate_one_expm_per_sector_on_uniform_grid(monkeypatch, p, n_expm):
-    # np.linspace steps differ in the last ulp; they must share one exponential.
-    # Only M = 0..10 are propagated (the coherent start is exactly mirrored);
-    # symmetric sectors (all of them at p = 0, and the 1-dimensional sector
-    # M = 10 at any p) take the orthogonal eigenbasis and no expm.
+def _counting_expm(monkeypatch):
     calls = []
     expm = dyn.expm
 
@@ -105,10 +100,51 @@ def test_propagate_one_expm_per_sector_on_uniform_grid(monkeypatch, p, n_expm):
         return expm(A)
 
     monkeypatch.setattr(dyn, "expm", counting)
+    return calls
+
+
+@pytest.mark.parametrize("p, n_expm", [(0.0, 0), (0.3, 10)])
+def test_propagate_one_expm_per_sector_on_uniform_grid(monkeypatch, p, n_expm):
+    # np.linspace steps differ in the last ulp; they must share one exponential.
+    # Only M = 0..10 are propagated (the coherent start is exactly mirrored);
+    # symmetric sectors (all of them at p = 0, and the 1-dimensional sector
+    # M = 10 at any p) take the orthogonal eigenbasis and no expm.
+    calls = _counting_expm(monkeypatch)
     rho0 = dyn.coherent_state(10, 1.0, 0.3)
     dyn.propagate(ModelParams(two_j=10, p=p, h=0.9), rho0, np.linspace(0, 3, 61))
     assert len(rho0.sectors) == 21
     assert len(calls) == n_expm
+
+
+@pytest.mark.parametrize("grid, n_expm", [("lin:0:3:61", 0), ("lin:0:3000:121", 1)])
+def test_propagate_chooses_banded_pade_on_short_horizons(monkeypatch, grid, n_expm):
+    # sector 0 of 2j = 320 has n = 321 and needs S = 300 substeps over the short grid,
+    # where 80 S <= n^2 picks the banded Pade path; the long grid needs S = 241560,
+    # where one expm and its squarings are far cheaper
+    calls = _counting_expm(monkeypatch)
+    dyn.propagate(ModelParams(two_j=320, p=0.5), dyn.fock_state(320, 160.0), parse_time_grid(grid))
+    assert len(calls) == n_expm
+
+
+@settings(max_examples=25, deadline=None)
+@given(two_j=st.integers(28, 120), p=st.floats(-1.0, 1.0).filter(lambda p: abs(p) >= 1e-9),
+       gamma0=st.floats(0.0, 1.0), t_max=st.floats(1e-3, 1.0), seed=st.integers(0, 10_000))
+def test_banded_pade_path_matches_dense_expm(two_j, p, gamma0, t_max, seed):
+    # sectors 0 and 1 of 2j >= 28 have at least 28 rows and, over 4 intervals of t_max <= 1,
+    # few enough substeps for the banded path (the -1 sector is filled by conjugation)
+    params = ModelParams(two_j=two_j, p=p, gamma0=gamma0, h=0.7)
+    full = random_hermitian_state(two_j, seed)
+    rho0 = dyn.VectorizedDensityMatrix(two_j, {M: full.sectors[M] for M in (-1, 0, 1)})
+    ts = np.linspace(0.0, t_max, 5)
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _counting_expm(mp)
+        states = dyn.propagate(params, rho0, ts)
+    assert calls == []
+    for t, s in zip(ts, states):
+        for M in (0, 1):
+            want = expm(build_sector(params, M).to_dense() * t) @ rho0.sectors[M]
+            assert np.abs(s.sectors[M] - want).max() <= 1e-12
+        assert abs(s.trace() - rho0.trace()) <= 1e-12
 
 
 @settings(max_examples=50, deadline=None)

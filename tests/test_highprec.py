@@ -14,7 +14,7 @@ import pytest
 
 mp_mod = pytest.importorskip("mpmath")
 import numpy as np
-from mpmath import expm as mexpm, matrix as mmatrix, mp, mpf, sqrt as msqrt
+from mpmath import expm as mexpm, matrix as mmatrix, mp, mpc, mpf, sqrt as msqrt
 
 from spinbath.dynamics import coherent_state, propagate
 from spinbath.liouvillian import build_sector
@@ -140,4 +140,54 @@ def test_propagate_against_highprec(p, gamma0, grid):
             for i in checked:
                 want = np.array((mexpm(A * mpf(float(ts[i]))) * v0).tolist(), dtype=complex).ravel()
                 worst = max(worst, float(np.abs(states[i].sectors[M] - want).max()))
+    assert worst <= 1e-12
+
+
+def _mp_sector_states(op, v0, ts):
+    """exp(t L_M) v0 at every t of ts, in mpmath: e^{i h M t} times exp(t R_M) v0.
+
+    exp(t R_M) is a Taylor series in the real tridiagonal R_M, stepped from
+    one output time to the next and summed until its terms fall below 1e-25.
+    """
+    n = op.dim
+    diag, upper, lower = ([mpf(float(x)) for x in band] for band in (op.diag, op.upper, op.lower))
+
+    def matvec(v):
+        out = [diag[k] * v[k] for k in range(n)]
+        for k in range(n - 1):
+            out[k + 1] += upper[k] * v[k]
+            out[k] += lower[k] * v[k + 1]
+        return out
+
+    cols = [[mpf(float(x.real)) for x in v0], [mpf(float(x.imag)) for x in v0]]
+    states, t_prev = [], mpf(0)
+    for t in ts:
+        dt, t_prev = mpf(float(t)) - t_prev, mpf(float(t))
+        for c, v in enumerate(cols):
+            term, k = v, 0
+            while max(abs(x) for x in term) > mpf("1e-25"):
+                k += 1
+                term = [x * dt / k for x in matvec(term)]
+                v = [a + b for a, b in zip(v, term)]
+            cols[c] = v
+        phase = mp.expj(mpf(float(op.shift)) * t_prev)
+        states.append(np.array([complex(phase * mpc(a, b)) for a, b in zip(*cols)]))
+    return states
+
+
+@pytest.mark.parametrize("p", [0.5, 1.0, -0.9])
+@pytest.mark.parametrize("gamma0", [0.0, 0.7])
+def test_banded_pade_propagation_against_highprec(p, gamma0):
+    # at 2j = 40 on this grid, sectors 0 and +-5 (n = 41, 36) take few enough substeps
+    # (S = 8) for the banded Pade path; sectors +-20 (n = 21) stay on the dense path
+    params = ModelParams(two_j=40, p=p, gamma0=gamma0, h=0.8)
+    ts = parse_time_grid("lin:0:0.4:5")
+    rho0 = coherent_state(40, 1.1, 0.4)
+    states = propagate(params, rho0, ts)
+    worst = 0.0
+    with mp.workdps(30):
+        for M in (0, 5, -5, 20, -20):
+            want = _mp_sector_states(build_sector(params, M), rho0.sectors[M], ts)
+            for s, w in zip(states, want):
+                worst = max(worst, float(np.abs(s.sectors[M] - w).max()))
     assert worst <= 1e-12
