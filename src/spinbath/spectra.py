@@ -5,14 +5,17 @@ i*shift on its diagonal, and for |p| < 1 both off-diagonal bands are strictly
 positive.  Such bands are diagonally similar to a real symmetric tridiagonal
 matrix, so the spectrum is {real value + i*shift} exactly and is obtained,
 fully converged, from the symmetric eigenproblem of the bands as they are:
-one direct LAPACK dstevd call per sector.  Every eigenvalue carries the same
-i*shift, so L - lambda is the real bands minus Re(lambda), and each
-eigenvector is one real LAPACK tridiagonal solve (dgtsv, one call per block
-of eigenvalues), i.e. a single inverse-iteration step from a fixed start
-vector, built once per dimension and cached read-only.  The residuals
-||(L - lambda) v|| are computed on the real bands as well.  Near a coalesced
-pair both shifts land on the common direction, which is precisely the physics
-the eigenvector distance d_N is meant to capture.
+one LAPACK dstevd call per sector.  It goes through ctypes, which releases
+the interpreter lock for the call (scipy's wrapper of the same routine holds
+it), so diagonalize_each runs the eigenvalue solves of the sectors ahead on
+one helper thread while the calling thread computes eigenvectors.  Every
+eigenvalue carries the same i*shift, so L - lambda is the real bands minus
+Re(lambda), and each eigenvector is one real LAPACK tridiagonal solve (dgtsv,
+one call per block of eigenvalues), i.e. a single inverse-iteration step
+from a fixed start vector, built once per dimension and cached read-only.
+The residuals ||(L - lambda) v|| are computed on the real bands as well.
+Near a coalesced pair both shifts land on the common direction, which is
+precisely the physics the eigenvector distance d_N is meant to capture.
 
 Each coalescence decision lives once, here: pair_distances is the one d_N
 formula (eigenvector_distance reads one entry of it), doublet_members the one
@@ -24,13 +27,19 @@ the same two functions to stop solving at the first open doublet.
 
 from __future__ import annotations
 
+import collections
+import ctypes
 import itertools
 import math
+import os
+import threading
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv, dstevd
+from scipy.linalg import cython_lapack
+from scipy.linalg.lapack import dgtsv
 
 from .liouvillian import SectorOperator, build_sector
 
@@ -41,6 +50,7 @@ __all__ = [
     "DensityOfStates",
     "EigensolverError",
     "diagonalize",
+    "diagonalize_each",
     "eigenvalues_only",
     "eigenvector_distance",
     "pair_distances",
@@ -66,6 +76,12 @@ _START_CACHE = 256
 
 # a bounded diagonalize solves this many columns first; each later block doubles the total
 _FIRST_BLOCK = 64
+
+# eigenvalue solves diagonalize_each runs ahead of the eigenvectors, each holding one operator and
+# its spectrum.  Sweeps go up in 2j, so the largest sector's solve has to overlap the eigenvectors
+# of several smaller sectors: the 12 sectors of the scan benchmark took 0.21 s with one solve
+# ahead, 0.17 s with four and 0.16 s with eight, against 0.23 s in one thread (2 CPUs)
+_LOOKAHEAD = 8
 
 # size cap (columns x dim) of one batched dgtsv system, so memory stays flat for any sector
 _SOLVE_ELEMENTS = 2**16
@@ -152,38 +168,97 @@ class DensityOfStates:
     n_eigenvalues: int
 
 
+def _capsule_address(capsule) -> int:
+    """Address of the C function a PyCapsule holds (scipy's cython_lapack exports one per routine)."""
+    name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", ctypes.pythonapi))
+    address = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi))
+    return address(capsule, name(capsule))
+
+
+# LAPACK dstevd(jobz, n, d, e, z, ldz, work, lwork, iwork, liwork, info), every argument a pointer;
+# a CFUNCTYPE call releases the interpreter lock while the routine runs
+_DSTEVD = ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * 11)(_capsule_address(cython_lapack.__pyx_capi__["dstevd"]))
+_JOBZ_N = ctypes.c_char(b"N")
+_JOBZ_N_ADDRESS = ctypes.addressof(_JOBZ_N)
+_F8, _I4 = 8, 4
+
+
+def _dstevd_values(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, int]:
+    """Ascending eigenvalues of the symmetric tridiagonal (d, e), n >= 2, and LAPACK's info.
+
+    The routine scipy.linalg.lapack.dstevd(d, e, compute_v=0) calls, bitwise
+    the same values, but called without the interpreter lock, so another
+    thread runs Python code meanwhile.  Neither input is written.
+    """
+    n = d.size
+    if d.ndim != 1 or e.shape != (n - 1,):
+        raise ValueError(f"dstevd takes n diagonal and n - 1 off-diagonal entries, got {d.shape} and {e.shape}")
+    # d, then e, then one double each for the unreferenced z and for work
+    buf = np.empty(2 * n + 1)
+    buf[:n] = d
+    buf[n : 2 * n - 1] = e
+    # n, ldz, lwork, liwork, iwork, info
+    ints = np.array([n, 1, 1, 1, 0, 0], dtype=np.int32)
+    a, i = buf.ctypes.data, ints.ctypes.data
+    _DSTEVD(_JOBZ_N_ADDRESS, i, a, a + _F8 * n, a + _F8 * (2 * n - 1), i + _I4,
+            a + _F8 * (2 * n), i + 2 * _I4, i + 4 * _I4, i + 3 * _I4, i + 5 * _I4)
+    return buf[:n], int(ints[5])
+
+
+_TINY = np.finfo(float).tiny
+_SQRT_TINY = math.sqrt(_TINY)
+
+
+def _symmetric_coupling(op: SectorOperator) -> np.ndarray:
+    """Off-diagonal of the real symmetric form of same-signed bands: sqrt(upper * lower).
+
+    Where that square is not a normal double but both entries are, it is
+    sqrt(|upper|) * sqrt(|lower|) instead, so the range of rates does not
+    halve; every other entry keeps the bits of sqrt(upper * lower).  An entry
+    of 0 or a subnormal one (whose square is not normal) raises an underflow,
+    opposite signs raise a mixed-sign EigensolverError.
+    """
+    u, lo = op.upper, op.lower
+    with np.errstate(over="ignore", under="ignore"):
+        square = u * lo
+    if square.min() >= _TINY and square.max() < math.inf:
+        return np.sqrt(square)
+    if np.any(np.sign(u) * np.sign(lo) < 0):
+        # mixed-sign couplings: the symmetrization does not apply
+        raise _sector_error("off-diagonal bands of mixed sign", op.sector)
+    odd = ~((square >= _TINY) & (square < math.inf))
+    u, lo = np.abs(u[odd]), np.abs(lo[odd])
+    if not ((u >= _TINY) & (lo >= _TINY)).all():
+        raise _sector_error("sector operator underflows the double range", op.sector)
+    coupling = np.sqrt(np.abs(square))
+    coupling[odd] = np.sqrt(u) * np.sqrt(lo)
+    return coupling
+
+
 def eigenvalues_only(op: SectorOperator) -> np.ndarray:
     """Sector spectrum (descending real part) without eigenvectors.
 
     Uses the similarity to a real symmetric tridiagonal for |p| < 1, whose
-    eigenvalues come from one direct LAPACK dstevd call without eigenvectors
-    (the routine scipy's eigvalsh_tridiagonal picks, minus its argument
-    checks); at the triangular limits the spectrum is the diagonal itself.
-    Non-finite bands, coupling products that overflow or underflow to 0, and
-    bands that are neither same-signed nor one-sided (build_sector builds
-    none of these), raise EigensolverError.
+    eigenvalues come from LAPACK dstevd without eigenvectors (the routine
+    scipy's eigvalsh_tridiagonal picks), called directly and without the
+    interpreter lock (_dstevd_values); at the triangular limits the spectrum
+    is the diagonal itself.  Non-finite bands, a zero or subnormal coupling
+    entry whose square leaves the normal range, and bands that are neither
+    same-signed nor one-sided (build_sector builds none of these but the
+    subnormal entries) raise EigensolverError.
     """
     if not (np.isfinite(op.diag).all() and np.isfinite(op.upper).all() and np.isfinite(op.lower).all()):
         raise _sector_error("non-finite bands", op.sector)
-    with np.errstate(over="ignore"):
-        prod = op.upper * op.lower  # the symmetric coupling squared
-    if not np.isfinite(prod).all():
-        raise _sector_error("sector operator overflows the double range", op.sector)
     if op.dim == 1:
         w = op.diag  # dstevd rejects an empty off-diagonal
-    elif np.all(prod > 0):
-        w, _, info = dstevd(op.diag, np.sqrt(prod), compute_v=0)
+    elif not (op.upper.any() and op.lower.any()):
+        w = np.sort(op.diag)[::-1]
+    else:
+        w, info = _dstevd_values(op.diag, _symmetric_coupling(op))
         if info:
             raise _sector_error(f"dstevd failed (info={info})", op.sector)
         w = w[::-1]
-    elif np.all(op.upper == 0) or np.all(op.lower == 0):
-        w = np.sort(op.diag)[::-1]
-    elif op.upper.all() and np.all(np.sign(op.upper) == np.sign(op.lower)):
-        # same-signed nonzero entries whose product, the symmetric coupling squared, is 0
-        raise _sector_error("sector operator underflows the double range", op.sector)
-    else:
-        # mixed-sign couplings: the symmetrization above does not apply
-        raise _sector_error("off-diagonal bands of mixed sign", op.sector)
     return w + 1j * op.shift
 
 
@@ -282,35 +357,42 @@ def _eigenvectors_to_precursor(op: SectorOperator, w: np.ndarray, bound: float, 
     Blocks of columns are solved and appended (the first _FIRST_BLOCK, then
     doubling the total) until the first open doublet at bound and the
     precursor after it are in, or every column is.  No solve couples two
-    columns, so each column is bitwise the column of the full solve.
+    columns, so each column is bitwise the column of the full solve.  Each
+    block adds only the distances of its new pairs, bitwise the entries of
+    _distances over all columns: a block has at least 2 columns, so each sum
+    runs down the rows of a 2-D array, in one order for any width.  (Joining
+    the blocks once, at the end, saved no measurable time and raised scan's
+    peak memory by 2 MB.)
     """
     n = op.dim
-    V = np.empty((n, 0))
+    V, d = np.empty((n, 0)), np.empty(0)
     while V.shape[1] < n:
         k = V.shape[1]
         stop = min(max(_FIRST_BLOCK, 2 * k), n)
         if stop == n - 1:
             stop = n  # a one-column block is normalised by another summation order: take it along
         V = np.hstack([V, _inverse_iteration(op, w[k:stop], scale)])
-        if _first_open_doublet(_distances(V), bound) + 1 < stop:
+        d = np.concatenate([d, _distances(V[:, max(k - 1, 0) :])])
+        if _first_open_doublet(d, bound) + 1 < stop:
             break
     return V
 
 
-def diagonalize(op: SectorOperator, bound: float | None = None) -> SpectralDecomposition:
+def diagonalize(op: SectorOperator, bound: float | None = None, *, _eigenvalues=None) -> SpectralDecomposition:
     """Spectral decomposition of a sector operator, with real eigenvectors.
 
     Every eigenvalue comes from eigenvalues_only, every eigenvector from
     inverse iteration (see module docstring).  With a bound in (0, 1), every
     eigenvalue is still computed, but eigenvectors and residuals only for the
     leading columns that reach the precursor of ep_scan at that bound, which
-    is also enough for ep_scan at any smaller bound.
+    is also enough for ep_scan at any smaller bound.  _eigenvalues is
+    eigenvalues_only(op) computed ahead, by diagonalize_each only.
     """
     if op.dim < 1:
         raise ValueError("empty sector operator")
     if bound is not None:
         check_bound(bound)
-    w = eigenvalues_only(op)
+    w = eigenvalues_only(op) if _eigenvalues is None else _eigenvalues
     scale = op.scale()
     if op.dim == 1:
         V = np.ones((1, 1))
@@ -322,20 +404,113 @@ def diagonalize(op: SectorOperator, bound: float | None = None) -> SpectralDecom
         sector=op.sector,
         eigenvalues=w,
         right_eigenvectors=V,
-        residual_norms=_residual_norms(op, V, w.real[: V.shape[1]]),
+        residual_norms=_residual_norms(op, V, w.real[: V.shape[1]], scale),
         operator_scale=scale,
     )
 
 
-def _residual_norms(op: SectorOperator, V: np.ndarray, lam: np.ndarray) -> np.ndarray:
+def _other_cpus() -> set:
+    """CPUs this thread may run on, minus the one it runs on now; empty where that cannot be read."""
+    if not hasattr(os, "sched_setaffinity"):
+        return set()
+    getcpu = getattr(ctypes.CDLL(None), "sched_getcpu", None)
+    if getcpu is None:
+        return set()
+    getcpu.argtypes, getcpu.restype = [], ctypes.c_int
+    return os.sched_getaffinity(0) - {getcpu()}
+
+
+def _move_to(cpus: set) -> None:
+    """Initializer of diagonalize_each's helper thread: run on cpus, if there are any.
+
+    A new thread starts on its creator's CPU, and a kernel that does not
+    balance load (as in some VMs and cpusets) keeps it there, where the two
+    threads take turns.  A refused move costs the overlap, not a result.
+    """
+    if cpus:
+        try:
+            os.sched_setaffinity(0, cpus)
+        except OSError:
+            pass
+
+
+def diagonalize_each(ops, bound: float | None = None):
+    """diagonalize(op, bound) for each operator of the iterable ops, yielded in order.
+
+    One helper thread computes eigenvalues_only of the operators ahead, up to
+    _LOOKAHEAD of them, while the calling thread computes the eigenvectors of
+    the current one; the LAPACK call of eigenvalues_only releases the
+    interpreter lock, so the two run at once on two CPUs.  Everything else,
+    building the operators of ops included, runs on the calling thread.  The
+    first failure in the order of ops is raised as it is, and no eigenvalue
+    solve starts after a failure.
+    """
+    if bound is not None:
+        check_bound(bound)
+    ops, ahead, halt = iter(ops), collections.deque(), threading.Event()
+
+    def solve(op):
+        if halt.is_set():
+            return None  # an earlier task failed, and its error is the one raised
+        try:
+            return eigenvalues_only(op)
+        except BaseException:
+            halt.set()
+            raise
+
+    def queue_next() -> bool:
+        """Build the next operator and queue its solve; False once ops is done or failed."""
+        try:
+            op = next(ops)
+        except StopIteration:
+            return False
+        except Exception as exc:  # raised in its turn, after the tasks before it
+            failed = Future()
+            failed.set_exception(exc)
+            ahead.append((None, failed))
+            return False
+        ahead.append((op, helper.submit(solve, op)))
+        return True
+
+    helper = ThreadPoolExecutor(max_workers=1, initializer=_move_to, initargs=(_other_cpus(),))
+    try:
+        more = True
+        while more and len(ahead) < _LOOKAHEAD:
+            more = queue_next()
+        while ahead:
+            op, pending = ahead.popleft()
+            w = pending.result()
+            more = more and queue_next()
+            yield diagonalize(op, bound, _eigenvalues=w)
+    finally:
+        halt.set()
+        helper.shutdown(cancel_futures=True)
+
+
+def _residual_norms(op: SectorOperator, V: np.ndarray, lam: np.ndarray, scale: float) -> np.ndarray:
     """||L v - lambda v|| per column of V, in real arithmetic.
 
     Each eigenvalue is lam + i*shift exactly, so the i*shift of L cancels and
-    the residual is (real bands - lam) v, with no complex temporaries.
+    the residual is (real bands - lam) v, with no complex temporaries.  A
+    column whose norm is not finite or lies in (0, sqrt(tiny)), where its
+    squares overflowed or underflowed (huge or tiny rates), is recomputed on
+    the bands divided by scale and multiplied back.
     """
-    R = op.diag[:, None] * V
-    R[1:] += op.upper[:, None] * V[:-1]
-    R[:-1] += op.lower[:, None] * V[1:]
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = _band_residuals(op.diag, op.upper, op.lower, V, lam)
+    if r.min() >= _SQRT_TINY and r.max() < math.inf:
+        return r
+    odd = ~(r < math.inf) | ((r > 0) & (r < _SQRT_TINY))
+    if odd.any():
+        bands = (op.diag / scale, op.upper / scale, op.lower / scale)
+        r[odd] = scale * _band_residuals(*bands, V[:, odd], lam[odd] / scale)
+    return r
+
+
+def _band_residuals(diag, upper, lower, V, lam) -> np.ndarray:
+    R = diag[:, None] * V
+    R[1:] += upper[:, None] * V[:-1]
+    R[:-1] += lower[:, None] * V[1:]
     R -= V * lam
     return np.linalg.norm(R, axis=0)
 

@@ -261,15 +261,16 @@ def test_scaling_bounded_eigenvectors_give_the_full_bytes(tmp_path, monkeypatch)
     argv = ["scaling", "--two-j", "8 12 16 20 40 320", "--p", "0.2 0.5 0.999", "--gamma-bound", "1e-4 1e-6"]
     bounded, columns = cli.sp.diagonalize, []
 
-    def counting(op, bound=None):
-        dec = bounded(op, bound=bound)
+    # diagonalize_each hands diagonalize the eigenvalues it computed ahead (_eigenvalues)
+    def counting(op, bound=None, **ahead):
+        dec = bounded(op, bound=bound, **ahead)
         columns.append((dec.right_eigenvectors.shape[1], dec.dim))
         return dec
 
     monkeypatch.setattr(cli.sp, "diagonalize", counting)
     assert main(argv + ["--out", str(tmp_path / "bounded")]) == 0
     assert (64, 321) in columns
-    monkeypatch.setattr(cli.sp, "diagonalize", lambda op, bound=None: bounded(op))
+    monkeypatch.setattr(cli.sp, "diagonalize", lambda op, bound=None, **ahead: bounded(op, **ahead))
     assert main(argv + ["--out", str(tmp_path / "full")]) == 0
     names = sorted(os.listdir(tmp_path / "full"))
     assert names == ["d1_decay.csv", "d1_decay.svg", "doublet_eigenvalues.csv", "fits.csv", "precursor.csv"]
@@ -328,9 +329,9 @@ SPECTRUM_P05 = ["spectrum", "--two-j", "4", "--p", "0.5"]
 
 
 @pytest.mark.parametrize("argv,gamma", [
-    # the bands are normal or subnormal doubles, but the product of a mirrored pair, the square of
-    # spectrum's symmetric coupling, underflows; unchecked, that read as bands of mixed sign
-    (SPECTRUM_P05, "1e-200"),
+    # every off-diagonal entry is subnormal, so the symmetric coupling's square underflows and no
+    # normal pair of entries can stand in for it; scaling meets this on its helper thread
+    (["scaling", "--two-j", "4", "--p", "0.5"], "1e-320"),
     (SPECTRUM_P05, "1e-320"),
     # the smallest subnormal rate rounds off-diagonal entries to exactly 0
     (["evolve", "--two-j", "4", "--p", "0.5", "--initial", "fock:m=top"], "5e-324"),
@@ -343,13 +344,36 @@ def test_underflowing_bands_are_one_line_error(tmp_path, argv, gamma):
     assert not out.exists()
 
 
-def test_overflowing_coupling_product_is_one_line_error(tmp_path):
-    # gamma = 1e200 keeps the bands finite, but spectrum's symmetric form squares the coupling
-    proc, out = run_module_with_config(tmp_path, SPECTRUM_P05, "gamma=1e200")
-    assert proc.returncode == 1
-    assert proc.stderr.startswith("error: sector operator overflows the double range (two_j=4, M=")
-    assert len(proc.stderr.splitlines()) == 1
-    assert not out.exists()
+def spectrum_rows(path):
+    """(two_j, M, N) -> (re_lambda, im_lambda) of a spectra.csv."""
+    rows = [r.split(",") for r in read(path).splitlines()[1:]]
+    return {(int(r[0]), int(r[5]), int(r[6])): (float(r[7]), float(r[8])) for r in rows}
+
+
+@pytest.mark.parametrize("gamma", [1e-200, 1e-162, 1e155, 1e200, 1e300])
+def test_spectrum_scales_with_rates_whose_coupling_squares_leave_the_double_range(capsys, tmp_path, gamma):
+    # every band entry is a normal double, but the square of the symmetric coupling is not: the
+    # coupling is then sqrt(upper) * sqrt(lower), and Re(lambda) / gamma is the gamma = 1 spectrum;
+    # RuntimeWarnings are errors here, so an overflowing residual square fails this test
+    argv = ["spectrum", "--two-j", "4 40", "--p", "0.5"]
+    assert main(argv + ["--out", str(tmp_path / "unit")]) == 0
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"gamma={gamma!r}\n", encoding="utf-8")
+    assert main(argv + ["--config", str(cfg), "--out", str(tmp_path / "scaled")]) == 0
+    assert capsys.readouterr().err == ""
+    unit, scaled = spectrum_rows(tmp_path / "unit" / "spectra.csv"), spectrum_rows(tmp_path / "scaled" / "spectra.csv")
+    assert scaled.keys() == unit.keys() and len(unit) == 25 + 41**2
+    spread = max(abs(re) for re, _ in unit.values())
+    for key, (re, im) in unit.items():
+        assert abs(scaled[key][0] / gamma - re) <= 1e-14 * spread
+        assert scaled[key][1] == im  # the shift h*M does not depend on gamma
+    # scaling reads the same sectors' leading eigenvalues
+    argv = ["scaling", "--two-j", "8 12 40", "--p", "0.5"]
+    assert main(argv + ["--out", str(tmp_path / "unit")]) == 0
+    assert main(argv + ["--config", str(cfg), "--out", str(tmp_path / "scaled")]) == 0
+    unit, scaled = ([[float(x) for x in r.split(",")[-2:]] for r in read(run / "doublet_eigenvalues.csv").splitlines()[1:]]
+                    for run in (tmp_path / "unit", tmp_path / "scaled"))
+    assert np.abs(np.array(scaled) / gamma - np.array(unit)).max() <= 1e-14 * spread
 
 
 @pytest.mark.parametrize("p,gamma", [("0.5", 1e-200), ("0", 1e-200), ("0.5", 1e-320), ("0", 1e200)])
@@ -414,6 +438,51 @@ def test_eigenvector_overflow_is_one_line_error(capsys, tmp_path):
     assert err.startswith("error:")
     assert "two_j=1280, M=0" in err
     assert len(err.splitlines()) == 1
+
+
+def test_scaling_eigenvector_overflow_is_the_first_failure_in_order(capsys, tmp_path):
+    # the eigenvalues of 2j = 1280 are solved on the helper thread while 2j = 80 is walked; the
+    # walk of 2j = 1280 then overflows, the same line as without the helper, and nothing is written
+    out = tmp_path / "out"
+    assert main(["scaling", "--two-j", "80 1280", "--p", "0.99", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["error: 154 eigenvector solves overflowed or vanished (two_j=1280, M=0)"]
+    assert not out.exists()
+
+
+def test_scaling_reports_the_first_failing_task_in_config_order(capsys, monkeypatch, tmp_path):
+    # an eigenvalue solve fails on the helper thread at 2j = 16 and 24, the eigenvectors of 2j = 12
+    # fail on the calling thread: 2j = 12 comes first in the sweep, so its error is the one line
+    import spinbath.cli as cli
+    from spinbath.spectra import EigensolverError
+
+    solved, real_eigenvalues, real_diagonalize = [], cli.sp.eigenvalues_only, cli.sp.diagonalize
+
+    def eigenvalues(op):
+        two_j = op.dim - 1
+        solved.append(two_j)
+        if two_j in (16, 24):
+            raise EigensolverError("eigenvalues failed", two_j=two_j, M=0)
+        return real_eigenvalues(op)
+
+    def diagonalize(op, bound=None, **ahead):
+        if op.dim - 1 == 12:
+            raise EigensolverError("eigenvectors failed", two_j=12, M=0)
+        return real_diagonalize(op, bound, **ahead)
+
+    monkeypatch.setattr(cli.sp, "eigenvalues_only", eigenvalues)
+    argv = ["scaling", "--two-j", "8 12 16 20 24 28", "--p", "0.5"]
+    monkeypatch.setattr(cli.sp, "diagonalize", diagonalize)
+    assert main(argv + ["--out", str(tmp_path / "a")]) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: eigenvectors failed (two_j=12, M=0)"]
+    # once a solve has failed, no later one starts
+    assert solved[-1] <= 16 and 20 not in solved
+    monkeypatch.setattr(cli.sp, "diagonalize", real_diagonalize)
+    solved.clear()
+    assert main(argv + ["--out", str(tmp_path / "b")]) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: eigenvalues failed (two_j=16, M=0)"]
+    assert solved == [8, 12, 16]
+    assert not (tmp_path / "a").exists() and not (tmp_path / "b").exists()
 
 
 def test_scaling_command(tmp_path):
@@ -638,8 +707,8 @@ def test_cli_import_leaves_out_scipy_optimize():
 @pytest.mark.parametrize("argv", [["spectrum", "--two-j", "6 8", "--p", "0 0.5"],
                                   ["scaling", "--two-j", "8 12 16", "--p", "0.2 0.5"]])
 def test_sweeps_build_every_sector_on_the_calling_thread(tmp_path, monkeypatch, argv):
-    # --jobs is accepted but has no effect: scipy's LAPACK calls hold the interpreter lock,
-    # so a thread pool only added overhead
+    # --jobs is accepted but has no effect; scaling's one helper thread computes eigenvalues only,
+    # and every sector operator is built on the calling thread, in configuration order
     import spinbath.cli as cli
 
     threads = []

@@ -1,10 +1,14 @@
+import os
 import sys
+import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import eigvalsh_tridiagonal
-from scipy.linalg.lapack import dgtsv
+from scipy.linalg.lapack import dgtsv, dstevd
 from scipy.optimize import linear_sum_assignment
 
 from spinbath import liouvillian
@@ -47,9 +51,11 @@ def test_residual_invariant():
     # in the large sectors the resolvent nears the double range: a solve from an
     # unscaled start, or a repeated solve, overflows or loses accuracy; the
     # resolvent goes as 1/gamma, so unscaled bands overflow at tiny gamma and
-    # lose whole columns to underflow at huge gamma
+    # lose whole columns to underflow at huge gamma; at 1e200 and 1e300 the
+    # squares summed for a residual norm overflow unless it is rescaled
     cases = ((40, 0.5, 0, 1.0), (40, 0.0, 3, 1.0), (40, 1.0, 0, 1.0), (40, -0.8, -2, 1.0), (640, 0.999, 0, 1.0),
-             (1280, 0.7, 0, 1.0), (640, 0.999, 0, 2.0**-400), (640, 0.999, 0, 2.0**400))
+             (1280, 0.7, 0, 1.0), (640, 0.999, 0, 2.0**-400), (640, 0.999, 0, 2.0**400),
+             (40, 0.5, 0, 1e200), (40, 0.5, 3, 1e300))
     for two_j, p, M, gamma in cases:
         dec = dec_for(two_j, p, M, gamma=gamma)
         assert np.all(np.isfinite(dec.right_eigenvectors))
@@ -162,12 +168,14 @@ def test_start_vector_is_cached_and_read_only():
 
 
 def test_shared_caches_under_threads():
-    # the thread pool shares the start-vector and ladder caches: concurrent misses and hits
-    # must give the bits of a serial run
+    # the thread pool shares the start-vector and ladder caches, and each diagonalize_each its helper
+    # thread: concurrent misses and hits must give the bits of a serial run
     params = ModelParams(two_j=20, p=0.5)
 
     def run():
-        return [sp.diagonalize(build_sector(params, M)).right_eigenvectors.tobytes() for M in range(-20, 21)]
+        ops = [build_sector(params, M) for M in range(-20, 21)]
+        return ([sp.diagonalize(op).right_eigenvectors.tobytes() for op in ops]
+                + [dec.right_eigenvectors.tobytes() for dec in sp.diagonalize_each(ops, 1e-4)])
 
     serial = run()
     interval = sys.getswitchinterval()
@@ -271,6 +279,186 @@ def test_bounded_diagonalize_guards(monkeypatch):
     for bound in (0.0, 1.0, float("nan")):
         with pytest.raises(ValueError, match=r"must lie in \(0, 1\)"):
             sp.diagonalize(op, bound=bound)
+
+
+SCAN_SECTORS = [(two_j, p) for p in (0.3, 0.5, 0.7) for two_j in (80, 320, 640, 1280)]
+
+
+def walk_before(op, w, bound, scale):
+    """The eigenvector walk as it was: distances over every column after each block, V re-stacked."""
+    n = op.dim
+    V = np.empty((n, 0))
+    while V.shape[1] < n:
+        k = V.shape[1]
+        stop = min(max(sp._FIRST_BLOCK, 2 * k), n)
+        if stop == n - 1:
+            stop = n
+        V = np.hstack([V, sp._inverse_iteration(op, w[k:stop], scale)])
+        if sp._first_open_doublet(sp._distances(V), bound) + 1 < stop:
+            break
+    return V
+
+
+@pytest.mark.parametrize("two_j,p", SCAN_SECTORS)
+def test_walk_adds_only_new_distances(monkeypatch, two_j, p):
+    # each block appends the distances of its own pairs; every list the stopping rule reads, and the
+    # eigenvectors, are bitwise those of the walk that recomputed every distance after each block
+    op = build_sector(ModelParams(two_j=two_j, p=p), 0)
+    w, scale = sp.eigenvalues_only(op), op.scale()
+    seen, first_open = [], sp._first_open_doublet
+
+    def reading(d, bound):
+        seen.append(d.copy())
+        return first_open(d, bound)
+
+    monkeypatch.setattr(sp, "_first_open_doublet", reading)
+    V = sp._eigenvectors_to_precursor(op, w, 1e-4, scale)
+    monkeypatch.setattr(sp, "_first_open_doublet", first_open)
+    before = walk_before(op, w, 1e-4, scale)
+    assert V.flags.c_contiguous and V.tobytes() == before.tobytes()
+    for d in seen:
+        assert d.tobytes() == sp._distances(V[:, : len(d) + 1]).tobytes()
+    assert len(seen[-1]) == V.shape[1] - 1
+    assert sp.diagonalize(op, 1e-4).distances.tobytes() == sp._distances(before).tobytes()
+
+
+@st.composite
+def tridiagonals(draw):
+    """(d, e) of size 2..300: normals times one power of ten, or entries spread over 1e-300..1e300."""
+    n = draw(st.integers(2, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        # 1e+-147 and beyond: dstevd scales the matrix into range first
+        scale = 10.0 ** draw(st.sampled_from([-307, -300, -200, -147, -50, 0, 50, 147, 200, 300, 307]))
+        return rng.standard_normal(n) * scale, rng.standard_normal(n - 1) * scale
+    return (rng.standard_normal(n) * 10.0 ** rng.uniform(-300, 300, n),
+            rng.standard_normal(n - 1) * 10.0 ** rng.uniform(-300, 300, n - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(tridiagonals())
+def test_dstevd_binding_is_bitwise_scipys(bands):
+    d, e = bands
+    d0, e0 = d.copy(), e.copy()
+    want, _, info = dstevd(d, e, compute_v=0)
+    got, got_info = sp._dstevd_values(d, e)
+    assert got_info == info
+    assert got.tobytes() == want.tobytes()
+    assert d.tobytes() == d0.tobytes() and e.tobytes() == e0.tobytes()  # the inputs are not written
+
+
+def test_dstevd_binding_reports_info(monkeypatch):
+    # a NaN coupling makes the QL iteration give up: info > 0, as from scipy's wrapper, and
+    # eigenvalues_only raises it as an EigensolverError
+    d, e = -np.arange(1.0, 6.0), np.array([1.0, np.nan, 1.0, 1.0])
+    info = dstevd(d, e, compute_v=0)[2]
+    assert info > 0 and sp._dstevd_values(d, e)[1] == info
+    op = build_sector(ModelParams(two_j=4, p=0.5), 0)
+    monkeypatch.setattr(sp, "_symmetric_coupling", lambda op: e)
+    with pytest.raises(sp.EigensolverError, match=rf"dstevd failed \(info={info}\) \(two_j=4, M=0\)"):
+        sp.eigenvalues_only(op)
+
+
+def test_dstevd_binding_runs_without_the_interpreter_lock():
+    # while one thread is inside the binding at n = 2001, the main thread keeps running Python
+    # code; scipy's wrapper holds the lock and stalls it for the whole call
+    rng = np.random.default_rng(3)
+    d, e = rng.standard_normal(2001), np.abs(rng.standard_normal(2000))
+    span, started = [], threading.Event()
+
+    def call():
+        started.set()
+        t0 = time.perf_counter()
+        sp._dstevd_values(d, e)
+        span.extend((t0, time.perf_counter()))
+
+    worker = threading.Thread(target=call)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)
+    try:
+        worker.start()
+        assert started.wait(timeout=60)
+        ticks = []
+        while worker.is_alive():
+            ticks.append(time.perf_counter())
+        worker.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not worker.is_alive()
+    t0, t1 = span
+    # Python ran on the main thread all through the call: no pause as long as half of it (scipy's
+    # wrapper leaves one pause as long as the whole call, between ticks at its two ends)
+    marks = [t0] + [t for t in ticks if t0 < t < t1] + [t1]
+    assert t1 - t0 > 5e-3
+    assert max(np.diff(marks)) < 0.5 * (t1 - t0)
+
+
+def test_diagonalize_each_is_diagonalize_in_order():
+    ops = [build_sector(ModelParams(two_j=two_j, p=p, h=0.7), M)
+           for two_j, p, M in ((40, 0.5, 0), (7, 0.3, 7), (320, 0.999, 0), (20, 1.0, 0), (128, 0.5, -3))]
+    for bound in (None, 1e-6):
+        got = list(sp.diagonalize_each(iter(ops), bound))
+        assert len(got) == len(ops)
+        for dec, op in zip(got, ops):
+            want = sp.diagonalize(op, bound)
+            for a, b in ((dec.eigenvalues, want.eigenvalues), (dec.right_eigenvectors, want.right_eigenvectors),
+                         (dec.residual_norms, want.residual_norms), (dec.distances, want.distances)):
+                assert a.tobytes() == b.tobytes()
+    assert list(sp.diagonalize_each([])) == []
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs CPU affinity and two CPUs")
+def test_diagonalize_each_helper_leaves_the_callers_cpu(monkeypatch):
+    # a kernel that does not balance load keeps a new thread on its creator's CPU; the helper
+    # moves to the caller's other CPUs, the ones _other_cpus reads on the calling thread
+    allowed = os.sched_getaffinity(0)
+    assert len(sp._other_cpus()) == len(allowed) - 1 and sp._other_cpus() < allowed
+    target = {max(allowed)}
+    seen, real = [], sp.eigenvalues_only
+
+    def eigenvalues(op):
+        seen.append(os.sched_getaffinity(0))
+        return real(op)
+
+    monkeypatch.setattr(sp, "_other_cpus", lambda: target)
+    monkeypatch.setattr(sp, "eigenvalues_only", eigenvalues)
+    ops = [build_sector(ModelParams(two_j=two_j, p=0.5), 0) for two_j in (8, 12)]
+    assert len(list(sp.diagonalize_each(ops))) == 2
+    assert seen == [target, target]
+    assert os.sched_getaffinity(0) == allowed  # the calling thread stays where it was
+
+
+def test_diagonalize_each_raises_failures_in_order(monkeypatch):
+    # a failure to build an operator comes after the failures of the operators before it, and no
+    # eigenvalue solve starts after the first failure
+    solved, real = [], sp.eigenvalues_only
+
+    def eigenvalues(op):
+        solved.append(op.dim)
+        if op.dim == 13:
+            raise sp.EigensolverError("no spectrum", two_j=12, M=0)
+        return real(op)
+
+    def ops(sizes, broken):
+        for two_j in sizes:
+            if two_j == broken:
+                raise ValueError(f"cannot build 2j={two_j}")
+            yield build_sector(ModelParams(two_j=two_j, p=0.5), 0)
+
+    monkeypatch.setattr(sp, "eigenvalues_only", eigenvalues)
+    done = []
+    with pytest.raises(sp.EigensolverError, match="no spectrum"):
+        for dec in sp.diagonalize_each(ops([8, 10, 12, 14, 16, 18], broken=14), 1e-4):
+            done.append(dec.dim)
+    assert done == [9, 11] and solved == [9, 11, 13]
+    done.clear()
+    with pytest.raises(ValueError, match="cannot build 2j=14"):
+        for dec in sp.diagonalize_each(ops([8, 10, 14, 12], broken=14), 1e-4):
+            done.append(dec.dim)
+    assert done == [9, 11]
+    with pytest.raises(ValueError, match=r"must lie in \(0, 1\)"):
+        next(sp.diagonalize_each(ops([8], broken=None), 1.0))
 
 
 def test_structured_matches_qr_at_small_j():
