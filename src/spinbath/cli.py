@@ -154,21 +154,27 @@ def cmd_scaling(args) -> int:
     for gamma in gammas:
         sp.check_bound(gamma)
 
+    def taken(dec):
+        """What the rows read of one decomposition: lambda_1, lambda_2, d1 and the precursor at each bound."""
+        lam2 = dec.eigenvalues[2].real if dec.dim > 2 else math.nan
+        d1 = sp.eigenvector_distance(dec, 1) if dec.dim > 2 else None
+        stars = [sp.ep_scan(dec, gamma).precursor for gamma in gammas]
+        return dec.eigenvalues[1].real, lam2, d1, [math.nan if s is None else s.real for s in stars]
+
     tasks = [(two_j, p) for p in ps for two_j in two_js]
     ops = (build_sector(_params(cfg, two_j, p), 0) for two_j, p in tasks)
-    # eigenvectors down to the deepest precursor, the one at the largest bound
-    decs = dict(zip(tasks, sp.diagonalize_each(ops, bound=max(gammas)), strict=True))
+    # eigenvectors down to the deepest precursor, the one at the largest bound; map drops each
+    # decomposition once its rows are taken, before the next one is diagonalized
+    rows_of = dict(zip(tasks, map(taken, sp.diagonalize_each(ops, bound=max(gammas))), strict=True))
 
     doublet_rows, d1_rows, prec_rows, fit_rows, d1_groups = [], [], [], [], []
     for p in ps:
         d1_points = []
         for two_j in two_js:
-            dec = decs[(two_j, p)]
+            lam1, lam2, d1, _ = rows_of[(two_j, p)]
             params = _params(cfg, two_j, p)
-            lam2 = dec.eigenvalues[2].real if dec.dim > 2 else math.nan
-            doublet_rows.append(_provenance(params, 0) + [dec.eigenvalues[1].real, lam2])
-            if dec.dim > 2:
-                d1 = sp.eigenvector_distance(dec, 1)
+            doublet_rows.append(_provenance(params, 0) + [lam1, lam2])
+            if d1 is not None:
                 d1_rows.append(_provenance(params, 0) + [d1])
                 d1_points.append((two_j / 2, d1))
         xs_d1, ys_d1 = sp.floor_cut(d1_points)
@@ -177,13 +183,11 @@ def cmd_scaling(args) -> int:
         if len(xs_d1) >= 3:
             fit = sp.fit_exponential(xs_d1, ys_d1)
             fit_rows.append(["d1_decay", p, math.nan, fit.exponent, fit.prefactor, fit.r_squared, fit.n_points])
-        for gamma in gammas:
+        for g, gamma in enumerate(gammas):
             xs, ys = [], []
             for two_j in two_js:
-                dec = decs[(two_j, p)]
+                lam_star = rows_of[(two_j, p)][3][g]
                 params = _params(cfg, two_j, p)
-                res = sp.ep_scan(dec, gamma)
-                lam_star = res.precursor.real if res.precursor is not None else math.nan
                 diff_per_j = lam_star / (two_j / 2) - lam_c_per_j if not math.isnan(lam_star) else math.nan
                 prec_rows.append(_provenance(params, 0) + [gamma, lam_star, diff_per_j])
                 if not math.isnan(diff_per_j) and abs(diff_per_j) > 0:

@@ -454,18 +454,26 @@ def ep_halflife(lambda_rate: float, has_generalized: bool) -> float:
     """Half-life of the mode population envelope.
 
     Plain eigenstate: exp(lambda t) = 1/2.  With an equally populated rank-2
-    partner the envelope is (1 + t) exp(lambda t), solved by bracketed root
-    finding.
+    partner the envelope is (1 + t) exp(lambda t), and the half-life solves
+    g(t) = ln(1 + t) + lambda t + ln 2 = 0.  g is concave with g(0) > 0, so
+    Newton's method started past the root falls to it monotonically, and it
+    stops once a step no longer lowers t: at the root to within a few ulps
+    (inf where the root leaves the double range).
     """
-    from scipy.optimize import brentq  # kept off the CLI import path
-
     if lambda_rate >= 0:
         raise ValueError(f"decay rate must be negative, got {lambda_rate}")
     t_plain = math.log(2.0) / abs(lambda_rate)
     if not has_generalized:
         return t_plain
-    f = lambda t: (1 + t) * math.exp(lambda_rate * t) - 0.5
-    hi = t_plain
-    while f(hi) > 0:
-        hi *= 2
-    return float(brentq(f, t_plain / 4, hi, xtol=1e-12))
+
+    def g(t):
+        return math.log1p(t) + lambda_rate * t + math.log(2.0)
+
+    t = t_plain
+    while g(t) > 0:
+        t *= 2
+    while True:
+        step = g(t) / (1 / (1 + t) + lambda_rate)
+        if not t - step < t:
+            return t
+        t -= step

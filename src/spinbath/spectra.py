@@ -111,7 +111,8 @@ class SpectralDecomposition:
     eigenvalues always hold all dim values; built with a bound (see
     diagonalize), right_eigenvectors and residual_norms may hold only the
     leading columns, fewer than dim.  distances holds their d_N (see
-    pair_distances), computed once from right_eigenvectors and read-only.
+    pair_distances), read-only: the array given, which diagonalize computes
+    while it solves, or else computed once from right_eigenvectors.
     """
 
     sector: "object"
@@ -119,10 +120,10 @@ class SpectralDecomposition:
     right_eigenvectors: np.ndarray
     residual_norms: np.ndarray
     operator_scale: float
-    distances: np.ndarray = field(init=False)
+    distances: np.ndarray | None = None
 
     def __post_init__(self):
-        d = _distances(self.right_eigenvectors)
+        d = _distances(self.right_eigenvectors) if self.distances is None else self.distances
         d.flags.writeable = False
         object.__setattr__(self, "distances", d)
 
@@ -351,8 +352,9 @@ def check_bound(bound: float) -> None:
         raise ValueError(f"coalescence bound must lie in (0, 1), got {bound}")
 
 
-def _eigenvectors_to_precursor(op: SectorOperator, w: np.ndarray, bound: float, scale: float) -> np.ndarray:
-    """Leading columns of _inverse_iteration(op, w, scale), down to the precursor at bound.
+def _eigenvectors_to_precursor(op: SectorOperator, w: np.ndarray, bound: float,
+                               scale: float) -> tuple[np.ndarray, np.ndarray]:
+    """Leading columns of _inverse_iteration(op, w, scale), down to the precursor at bound, and their d_N.
 
     Blocks of columns are solved and appended (the first _FIRST_BLOCK, then
     doubling the total) until the first open doublet at bound and the
@@ -375,7 +377,7 @@ def _eigenvectors_to_precursor(op: SectorOperator, w: np.ndarray, bound: float, 
         d = np.concatenate([d, _distances(V[:, max(k - 1, 0) :])])
         if _first_open_doublet(d, bound) + 1 < stop:
             break
-    return V
+    return V, d
 
 
 def diagonalize(op: SectorOperator, bound: float | None = None, *, _eigenvalues=None) -> SpectralDecomposition:
@@ -394,18 +396,20 @@ def diagonalize(op: SectorOperator, bound: float | None = None, *, _eigenvalues=
         check_bound(bound)
     w = eigenvalues_only(op) if _eigenvalues is None else _eigenvalues
     scale = op.scale()
+    d = None  # the decomposition computes the distances of a full solve
     if op.dim == 1:
         V = np.ones((1, 1))
     elif bound is None:
         V = _inverse_iteration(op, w, scale)
     else:
-        V = _eigenvectors_to_precursor(op, w, bound, scale)
+        V, d = _eigenvectors_to_precursor(op, w, bound, scale)
     return SpectralDecomposition(
         sector=op.sector,
         eigenvalues=w,
         right_eigenvectors=V,
         residual_norms=_residual_norms(op, V, w.real[: V.shape[1]], scale),
         operator_scale=scale,
+        distances=d,
     )
 
 

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import threading
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -702,6 +703,52 @@ def test_cli_import_leaves_out_scipy_optimize():
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+README_COMMANDS_SMALL = [
+    ["spectrum", "--two-j", "4", "--p", "0 0.5 0.99"],
+    ["scaling", "--two-j", "8 12 16", "--p", "0.5", "--gamma-bound", "1e-4 1e-5"],
+    ["evolve", "--two-j", "8", "--p", "0.5", "--initial", "hp-doublet:a=0:b=1/6", "--times", "lin:0:3:7"],
+    ["evolve", "--two-j", "4 6 8", "--p", "0", "--initial", "coherent:theta=1.5707963267948966:phi=0",
+     "--times", "lin:0:3:7"],
+    ["evolve", "--two-j", "6", "--p", "0", "--initial", "fock:m=top", "--times", "lin:0:1000:11"],
+]
+
+
+def test_commands_leave_out_scipy_optimize(tmp_path):
+    # verify and the five README commands (at small sizes) run without loading scipy.optimize
+    src = os.path.dirname(os.path.dirname(spinbath.__file__))
+    runs = [["verify"]] + [argv + ["--out", str(tmp_path / str(i))] for i, argv in enumerate(README_COMMANDS_SMALL)]
+    code = ("import contextlib, io, sys\n"
+            "from spinbath.cli import main\n"
+            "for argv in %r:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert main(argv) == 0, argv\n"
+            "print('scipy.optimize' in sys.modules)\n" % runs)
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
+
+
+def test_scaling_frees_each_decomposition_before_the_next(tmp_path, monkeypatch):
+    # scaling takes its rows from each decomposition as diagonalize_each yields it, so when the next
+    # sector is diagonalized no earlier decomposition is alive
+    import spinbath.cli as cli
+
+    real, refs, alive = cli.sp.diagonalize, [], []
+
+    def spying(op, bound=None, **ahead):
+        alive.append(sum(ref() is not None for ref in refs))
+        dec = real(op, bound, **ahead)
+        refs.append(weakref.ref(dec))
+        return dec
+
+    monkeypatch.setattr(cli.sp, "diagonalize", spying)
+    argv = ["scaling", "--two-j", "8 12 16 20", "--p", "0.3 0.5", "--gamma-bound", "1e-4 1e-5"]
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    assert alive == [0] * 8
+    assert all(ref() is None for ref in refs)
 
 
 @pytest.mark.parametrize("argv", [["spectrum", "--two-j", "6 8", "--p", "0 0.5"],

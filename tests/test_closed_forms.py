@@ -322,3 +322,38 @@ def test_ep_halflife_values():
 def test_ep_halflife_domain():
     with pytest.raises(ValueError):
         cf.ep_halflife(0.5, True)
+
+
+def brentq_halflife(lam: float) -> float:
+    """The rank-2 half-life as scipy's brentq solves (1 + t) e^{lam t} = 1/2, to xtol = 1e-12."""
+    from scipy.optimize import brentq
+
+    t_plain = math.log(2.0) / abs(lam)
+
+    def f(t):
+        return (1 + t) * math.exp(lam * t) - 0.5
+
+    hi = t_plain
+    while f(hi) > 0:
+        hi *= 2
+    return brentq(f, t_plain / 4, hi, xtol=1e-12)
+
+
+LAMBDAS = [float(lam) for lam in -np.logspace(-3, math.log10(50), 300)]
+
+
+def test_ep_halflife_matches_brentq():
+    # brentq stops within its xtol of the root: near lam = -4.1 it lands 2.4e-13 (1.1e-12 relative)
+    # away, so its xtol is the absolute slack next to the 1e-12 relative one
+    for lam in LAMBDAS:
+        assert cf.ep_halflife(lam, True) == pytest.approx(brentq_halflife(lam), rel=1e-12, abs=1e-12)
+
+
+def test_ep_halflife_solves_the_envelope_to_rounding():
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        for lam in LAMBDAS[::10] + [-50.0, -1e-3]:
+            t = cf.ep_halflife(lam, True)
+            root = mpmath.findroot(lambda s: (1 + s) * mpmath.exp(lam * s) - mpmath.mpf(1) / 2, t)
+            assert abs(t - root) <= 1e-15 * root
+    assert cf.ep_halflife(-1e-308, True) == math.inf  # the root lies past the double range

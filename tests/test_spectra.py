@@ -312,14 +312,48 @@ def test_walk_adds_only_new_distances(monkeypatch, two_j, p):
         return first_open(d, bound)
 
     monkeypatch.setattr(sp, "_first_open_doublet", reading)
-    V = sp._eigenvectors_to_precursor(op, w, 1e-4, scale)
+    V, d_walk = sp._eigenvectors_to_precursor(op, w, 1e-4, scale)
     monkeypatch.setattr(sp, "_first_open_doublet", first_open)
     before = walk_before(op, w, 1e-4, scale)
     assert V.flags.c_contiguous and V.tobytes() == before.tobytes()
     for d in seen:
         assert d.tobytes() == sp._distances(V[:, : len(d) + 1]).tobytes()
     assert len(seen[-1]) == V.shape[1] - 1
+    assert d_walk.tobytes() == seen[-1].tobytes()
     assert sp.diagonalize(op, 1e-4).distances.tobytes() == sp._distances(before).tobytes()
+
+
+@pytest.mark.parametrize("two_j,p", SCAN_SECTORS)
+def test_diagonalize_computes_distances_once_per_block(monkeypatch, two_j, p):
+    # a bounded diagonalize hands the walk's distances to the decomposition, which computes none of
+    # its own; they are bitwise the distances over all returned columns, and a full solve computes
+    # its distances once
+    op = build_sector(ModelParams(two_j=two_j, p=p), 0)
+    calls = {"_distances": 0, "_inverse_iteration": 0}
+
+    def counted(name):
+        real = getattr(sp, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(sp, name, counted(name))
+    dec = sp.diagonalize(op, 1e-4)
+    assert calls["_inverse_iteration"] >= 1
+    assert calls["_distances"] == calls["_inverse_iteration"]
+    monkeypatch.undo()
+    assert dec.distances.tobytes() == sp._distances(dec.right_eigenvectors).tobytes()
+    assert not dec.distances.flags.writeable
+    if two_j == 80:
+        calls.update(_distances=0, _inverse_iteration=0)
+        monkeypatch.setattr(sp, "_distances", counted("_distances"))
+        full = sp.diagonalize(op)
+        assert calls["_distances"] == 1
+        assert full.distances.tobytes() == sp._distances(full.right_eigenvectors).tobytes()
 
 
 @st.composite
