@@ -5,9 +5,8 @@ Emits the lowest doublet eigenvalues and d1 against j, and the precursor
 eigenvalue against the critical value for several coalescence bounds.  Bounds
 below ~1e-4 stay under the collapsed-basis distance plateau up to j = 320 and
 give the clean power-law approach to the critical line.  The second run sweeps
-eight values of p, but its precursor rows are measured against the default
-lambda_c_per_j, the p = 0.5 value: for p != 0.5 only its d1 rows are
-meaningful.
+eight values of p; each p's precursor rows are measured against its own
+critical value, -Gamma (1 - sqrt(1 - p^2)) per j.
 """
 
 import argparse

@@ -26,6 +26,7 @@ import numpy as np
 
 from . import dynamics as dyn
 from . import spectra as sp
+from .closed_forms import critical_value_per_j
 from .liouvillian import build_sector
 from .model import ModelParams
 from .output import (
@@ -148,8 +149,9 @@ def cmd_spectrum(args) -> int:
 def cmd_scaling(args) -> int:
     cfg = _config_from(args)
     two_js, ps, gammas, out = sorted(cfg["two_j"]), cfg["p"], cfg["gamma_bound"], cfg["out"]
-    lam_c_per_j = cfg["lambda_c_per_j"]
-    if not math.isfinite(lam_c_per_j):
+    # one critical value for every p if given, else each p's own (closed_forms.critical_value_per_j)
+    lam_c_per_j = cfg.get("lambda_c_per_j")
+    if lam_c_per_j is not None and not math.isfinite(lam_c_per_j):
         raise ValueError(f"lambda_c_per_j must be finite, got {lam_c_per_j}")
     for gamma in gammas:
         sp.check_bound(gamma)
@@ -169,6 +171,7 @@ def cmd_scaling(args) -> int:
 
     doublet_rows, d1_rows, prec_rows, fit_rows, d1_groups = [], [], [], [], []
     for p in ps:
+        lam_c = critical_value_per_j(p, cfg["gamma"]) if lam_c_per_j is None else lam_c_per_j
         d1_points = []
         for two_j in two_js:
             lam1, lam2, d1, _ = rows_of[(two_j, p)]
@@ -188,7 +191,7 @@ def cmd_scaling(args) -> int:
             for two_j in two_js:
                 lam_star = rows_of[(two_j, p)][3][g]
                 params = _params(cfg, two_j, p)
-                diff_per_j = lam_star / (two_j / 2) - lam_c_per_j if not math.isnan(lam_star) else math.nan
+                diff_per_j = lam_star / (two_j / 2) - lam_c if not math.isnan(lam_star) else math.nan
                 prec_rows.append(_provenance(params, 0) + [gamma, lam_star, diff_per_j])
                 if not math.isnan(diff_per_j) and abs(diff_per_j) > 0:
                     xs.append(two_j / 2)
@@ -319,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("scaling", cmd_scaling, "doublet/precursor finite-size scaling data and fits", ("two_j", "p"), {
             **shared, **jobs,
             "gamma_bound": ("list of coalescence bounds (default 1e-4)", parse_float_list, "1e-4"),
-            "lambda_c_per_j": (None, float, "-0.133975"),
+            "lambda_c_per_j": (None, float, None),
         }),
         ("evolve", cmd_evolve, "time evolution experiments (slow-down, oscillations, entropy)",
          ("two_j", "initial"), {

@@ -41,6 +41,7 @@ __all__ = [
     "hp_states",
     "thermal_ss",
     "ep_halflife",
+    "critical_value_per_j",
 ]
 
 
@@ -448,6 +449,19 @@ def thermal_ss(params: ModelParams) -> ThermalSS:
         with np.errstate(over="ignore"):
             Z = float(np.sum(np.exp(expo)))
     return ThermalSS(beta=beta, Z=float(Z), jz=jz, coefficients=coef, alpha=alpha)
+
+
+def critical_value_per_j(p: float, gamma: float) -> float:
+    """Critical value of Re(lambda)/j in sector 0 at large j: -gamma (1 - sqrt(1 - p^2)).
+
+    At m = j z the M = 0 bands have the symbol a(z) = diag/j and
+    b(z) = sqrt(upper * lower)/j, whose upper edge a + 2b tends to
+    -gamma (1 - sqrt(1 - p^2)) (1 - z^2).  Its interior minimum, at z = 0, is
+    the van Hove point where the density of eigenvalues diverges.  It does not
+    depend on h, gamma0 or the sign of p.  Written as
+    -gamma p^2 / (1 + sqrt(1 - p^2)), it keeps its digits at small p.
+    """
+    return -gamma * p * p / (1.0 + math.sqrt(1.0 - p * p))
 
 
 def ep_halflife(lambda_rate: float, has_generalized: bool) -> float:

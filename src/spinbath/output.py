@@ -95,8 +95,8 @@ def write_csv(path: str, header: list, rows) -> str:
 
 
 def read_config(path: str) -> dict:
-    """key=value lines; blank lines and # comments ignored."""
-    cfg = {}
+    """key=value lines; blank lines and # comments ignored; a key set twice is a ValueError."""
+    cfg, lines = {}, {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, 1):
@@ -105,8 +105,10 @@ def read_config(path: str) -> dict:
                     continue
                 if "=" not in line:
                     raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
-                key, val = line.split("=", 1)
-                cfg[key.strip()] = val.strip()
+                key, val = (x.strip() for x in line.split("=", 1))
+                if key in cfg:
+                    raise ValueError(f"{path}:{lineno}: key {key!r} is already set on line {lines[key]}")
+                cfg[key], lines[key] = val, lineno
     except OSError as exc:
         raise OSError(f"cannot read config {path}: {exc}") from exc
     return cfg
@@ -164,8 +166,8 @@ def parse_initial(spec: str) -> tuple[str, dict]:
     """Initial-state selector: name[:key=value]* with fraction-friendly values.
 
     Names: hp-doublet (keys a, b), fock (key m; m=top is +inf, the
-    highest-weight state), coherent (keys theta, phi); any other name or key
-    is a ValueError.
+    highest-weight state), coherent (keys theta, phi); any other name or key,
+    and any value that is not finite (m=top aside), is a ValueError.
     """
     parts = spec.split(":")
     name = parts[0].strip().lower()
@@ -179,6 +181,8 @@ def parse_initial(spec: str) -> tuple[str, dict]:
         if k not in kwargs:
             raise ValueError(f"{name} selector takes no key {k!r} (keys: {', '.join(kwargs)})")
         kwargs[k] = math.inf if (k, v) == ("m", "top") else _num(v)
+        if not math.isfinite(kwargs[k]) and (k, v) != ("m", "top"):
+            raise ValueError(f"{name} selector value {k}={v} is not finite")
     if name == "fock" and kwargs["m"] is None:
         raise ValueError("fock selector needs m=<value> (or m=top for m=j)")
     return name, kwargs

@@ -14,6 +14,10 @@ Re(lambda), and each eigenvector is one real LAPACK tridiagonal solve (dgtsv,
 one call per block of eigenvalues), i.e. a single inverse-iteration step
 from a fixed start vector, built once per dimension and cached read-only.
 The residuals ||(L - lambda) v|| are computed on the real bands as well.
+The coupling, the solves and the residuals divide the bands by one power of
+two per sector (_band_scale), which changes no bit where the unscaled
+arithmetic stays in the double range, keeps it there at any rate, and leaves
+out h, so eigenvectors and d_N do not depend on the field.
 Near a coalesced pair both shifts land on the common direction, which is
 precisely the physics the eigenvector distance d_N is meant to capture.
 
@@ -208,33 +212,38 @@ def _dstevd_values(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, int]:
 
 
 _TINY = np.finfo(float).tiny
-_SQRT_TINY = math.sqrt(_TINY)
+
+
+def _band_scale(op: SectorOperator) -> float:
+    """The least power of two at or above every |entry| of the real bands (2^1023 above that).
+
+    h*M is left out: it cancels from every real solve.  A normal double
+    divided by a power of two keeps its bits, so the coupling, the solves and
+    the residuals on the bands divided by it are bitwise the unscaled
+    arithmetic wherever that stays in the double range.
+    """
+    top = max(np.abs(op.diag).max(), np.abs(op.upper).max(initial=0.0), np.abs(op.lower).max(initial=0.0))
+    m, e = math.frexp(top)
+    return math.ldexp(1.0, min(e - 1 if m == 0.5 else e, 1023))
 
 
 def _symmetric_coupling(op: SectorOperator) -> np.ndarray:
-    """Off-diagonal of the real symmetric form of same-signed bands: sqrt(upper * lower).
+    """Off-diagonal of the real symmetric form of same-signed bands: s * sqrt((upper / s) * (lower / s)).
 
-    Where that square is not a normal double but both entries are, it is
-    sqrt(|upper|) * sqrt(|lower|) instead, so the range of rates does not
-    halve; every other entry keeps the bits of sqrt(upper * lower).  An entry
-    of 0 or a subnormal one (whose square is not normal) raises an underflow,
-    opposite signs raise a mixed-sign EigensolverError.
+    With s = _band_scale(op) this is bitwise sqrt(upper * lower) wherever
+    that square is a normal double.  Opposite signs raise a mixed-sign
+    EigensolverError; an entry of 0 or a subnormal one, or a scaled square
+    below the normal range (a coupling below about 1e-154 of the largest
+    band entry), raise an underflow.
     """
-    u, lo = op.upper, op.lower
-    with np.errstate(over="ignore", under="ignore"):
-        square = u * lo
-    if square.min() >= _TINY and square.max() < math.inf:
-        return np.sqrt(square)
+    u, lo, s = op.upper, op.lower, _band_scale(op)
+    square = (u / s) * (lo / s)
+    if square.min() >= _TINY and min(np.abs(u).min(), np.abs(lo).min()) >= _TINY:
+        return s * np.sqrt(square)
     if np.any(np.sign(u) * np.sign(lo) < 0):
         # mixed-sign couplings: the symmetrization does not apply
         raise _sector_error("off-diagonal bands of mixed sign", op.sector)
-    odd = ~((square >= _TINY) & (square < math.inf))
-    u, lo = np.abs(u[odd]), np.abs(lo[odd])
-    if not ((u >= _TINY) & (lo >= _TINY)).all():
-        raise _sector_error("sector operator underflows the double range", op.sector)
-    coupling = np.sqrt(np.abs(square))
-    coupling[odd] = np.sqrt(u) * np.sqrt(lo)
-    return coupling
+    raise _sector_error("sector operator underflows the double range", op.sector)
 
 
 def eigenvalues_only(op: SectorOperator) -> np.ndarray:
@@ -243,17 +252,15 @@ def eigenvalues_only(op: SectorOperator) -> np.ndarray:
     Uses the similarity to a real symmetric tridiagonal for |p| < 1, whose
     eigenvalues come from LAPACK dstevd without eigenvectors (the routine
     scipy's eigvalsh_tridiagonal picks), called directly and without the
-    interpreter lock (_dstevd_values); at the triangular limits the spectrum
-    is the diagonal itself.  Non-finite bands, a zero or subnormal coupling
-    entry whose square leaves the normal range, and bands that are neither
-    same-signed nor one-sided (build_sector builds none of these but the
-    subnormal entries) raise EigensolverError.
+    interpreter lock (_dstevd_values); at the triangular limits, and in a
+    1-dimensional sector, the spectrum is the diagonal itself.  Non-finite
+    bands, a coupling that underflows (see _symmetric_coupling) and bands
+    that are neither same-signed nor one-sided (build_sector builds none of
+    these but the subnormal entries) raise EigensolverError.
     """
     if not (np.isfinite(op.diag).all() and np.isfinite(op.upper).all() and np.isfinite(op.lower).all()):
         raise _sector_error("non-finite bands", op.sector)
-    if op.dim == 1:
-        w = op.diag  # dstevd rejects an empty off-diagonal
-    elif not (op.upper.any() and op.lower.any()):
+    if not (op.upper.any() and op.lower.any()):
         w = np.sort(op.diag)[::-1]
     else:
         w, info = _dstevd_values(op.diag, _symmetric_coupling(op))
@@ -281,10 +288,11 @@ def _inverse_iteration(op: SectorOperator, lams: np.ndarray, scale: float) -> np
 
     Every eigenvalue carries the operator's i*shift, so L - lam is the real
     bands minus Re(lam), and the eigenvectors are real.
-    Each column solves the bands divided by scale (op.scale()), shifted by its
-    lam, from one fixed start vector scaled by 2^-1000 (_start_vector).  That
-    start keeps the resolvent of this highly non-normal family inside the
-    double range, and the division makes this window independent of gamma.  Up to
+    Each column solves the bands divided by scale (_band_scale(op)), shifted
+    by its lam, from one fixed start vector scaled by 2^-1000 (_start_vector).
+    That start keeps the resolvent of this highly non-normal family inside
+    the double range, and the division makes this window independent of the
+    rates; neither depends on h, so neither do the eigenvectors.  Up to
     _SOLVE_ELEMENTS // dim columns go to one dgtsv call as the block-diagonal
     system of their shifted copies: the couplings between copies are 0, so
     elimination never crosses a copy and each column is bitwise its own solve.
@@ -395,7 +403,7 @@ def diagonalize(op: SectorOperator, bound: float | None = None, *, _eigenvalues=
     if bound is not None:
         check_bound(bound)
     w = eigenvalues_only(op) if _eigenvalues is None else _eigenvalues
-    scale = op.scale()
+    scale = _band_scale(op)
     d = None  # the decomposition computes the distances of a full solve
     if op.dim == 1:
         V = np.ones((1, 1))
@@ -408,7 +416,7 @@ def diagonalize(op: SectorOperator, bound: float | None = None, *, _eigenvalues=
         eigenvalues=w,
         right_eigenvectors=V,
         residual_norms=_residual_norms(op, V, w.real[: V.shape[1]], scale),
-        operator_scale=scale,
+        operator_scale=op.scale(),
         distances=d,
     )
 
@@ -491,32 +499,19 @@ def diagonalize_each(ops, bound: float | None = None):
         helper.shutdown(cancel_futures=True)
 
 
-def _residual_norms(op: SectorOperator, V: np.ndarray, lam: np.ndarray, scale: float) -> np.ndarray:
-    """||L v - lambda v|| per column of V, in real arithmetic.
+def _residual_norms(op: SectorOperator, V: np.ndarray, lam: np.ndarray, s: float) -> np.ndarray:
+    """||L v - lambda v|| per column of V, in real arithmetic: s * ||(bands / s - lam / s) v||.
 
     Each eigenvalue is lam + i*shift exactly, so the i*shift of L cancels and
-    the residual is (real bands - lam) v, with no complex temporaries.  A
-    column whose norm is not finite or lies in (0, sqrt(tiny)), where its
-    squares overflowed or underflowed (huge or tiny rates), is recomputed on
-    the bands divided by scale and multiplied back.
+    the residual is (real bands - lam) v, with no complex temporaries.  With
+    s = _band_scale(op) the squares neither over- nor underflow at huge or
+    tiny rates, and elsewhere the norm is bitwise that of the unscaled bands.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        r = _band_residuals(op.diag, op.upper, op.lower, V, lam)
-    if r.min() >= _SQRT_TINY and r.max() < math.inf:
-        return r
-    odd = ~(r < math.inf) | ((r > 0) & (r < _SQRT_TINY))
-    if odd.any():
-        bands = (op.diag / scale, op.upper / scale, op.lower / scale)
-        r[odd] = scale * _band_residuals(*bands, V[:, odd], lam[odd] / scale)
-    return r
-
-
-def _band_residuals(diag, upper, lower, V, lam) -> np.ndarray:
-    R = diag[:, None] * V
-    R[1:] += upper[:, None] * V[:-1]
-    R[:-1] += lower[:, None] * V[1:]
-    R -= V * lam
-    return np.linalg.norm(R, axis=0)
+    R = (op.diag / s)[:, None] * V
+    R[1:] += (op.upper / s)[:, None] * V[:-1]
+    R[:-1] += (op.lower / s)[:, None] * V[1:]
+    R -= V * (lam / s)
+    return s * np.linalg.norm(R, axis=0)
 
 
 def eigenvector_distance(dec: SpectralDecomposition, N: int) -> float:

@@ -14,6 +14,7 @@ import pytest
 
 import spinbath
 from spinbath.cli import main
+from spinbath.closed_forms import critical_value_per_j
 from spinbath.liouvillian import build_bruteforce, build_sector
 from spinbath.output import (
     fmt,
@@ -47,6 +48,16 @@ def test_read_config(tmp_path):
     cfg_file.write_text("# comment\ntwo_j=4 8\np = 0.5\n\n", encoding="utf-8")
     cfg = read_config(str(cfg_file))
     assert cfg == {"two_j": "4 8", "p": "0.5"}
+
+
+def test_repeated_config_key_is_an_error(tmp_path, capsys):
+    # the last value used to win silently: this file ran at gamma = 2
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("gamma=1\n# rate\ngamma = 2\n", encoding="utf-8")
+    rc = main(["spectrum", "--two-j", "4", "--p", "0.5", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert one_line_error(capsys) == f"error: {cfg}:3: key 'gamma' is already set on line 1\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_parse_time_grid():
@@ -228,8 +239,16 @@ def test_config_key_the_command_does_not_read_is_usage_error(tmp_path, capsys, a
     (["evolve", "--two-j", "4", "--initial", "fock:m=top", "--times", "lin:0:top:5"], None, "times"),
     (["evolve", "--two-j", "4", "--initial", "fock:m=top", "--times", "lin:0:inf:5"], None, "times"),
     (["evolve", "--two-j", "4", "--initial", "fock:m=top"], "cross_check_max_two_j=1.5\n", "cross_check_max_two_j"),
+    # selector values are finite; m=top is the one way to write the top state
+    (["evolve", "--two-j", "4", "--initial", "coherent:theta=nan"], None, "initial"),
+    (["evolve", "--two-j", "4", "--initial", "coherent:theta=inf"], None, "initial"),
+    (["evolve", "--two-j", "4", "--initial", "hp-doublet:a=nan:b=0.1"], None, "initial"),
+    (["evolve", "--two-j", "4", "--initial", "hp-doublet:a=0:b=inf"], None, "initial"),
+    (["evolve", "--two-j", "4", "--initial", "fock:m=nan"], None, "initial"),
+    (["evolve", "--two-j", "4", "--initial", "fock:m=inf"], None, "initial"),
 ], ids=["p-abc", "m-x", "two_j-4.5", "p-top", "p-1/0", "jobs-abc", "config-h-abc", "gamma_bound-zz",
-        "times-3-parts", "times-top", "times-inf", "config-cross_check"])
+        "times-3-parts", "times-top", "times-inf", "config-cross_check", "theta-nan", "theta-inf", "a-nan", "b-inf",
+        "m-nan", "m-inf"])
 def test_value_its_key_cannot_parse_is_usage_error(tmp_path, capsys, argv, cfg, key):
     if cfg is not None:
         (tmp_path / "run.cfg").write_text(cfg, encoding="utf-8")
@@ -377,6 +396,20 @@ def test_spectrum_scales_with_rates_whose_coupling_squares_leave_the_double_rang
     assert np.abs(np.array(scaled) / gamma - np.array(unit)).max() <= 1e-14 * spread
 
 
+def test_spectrum_columns_do_not_depend_on_the_field(tmp_path):
+    # re_lambda and d_N are the same bytes for any h; d_N moved by 0.88 at h = 1e200 in sector 10
+    # while the eigenvector solves divided by a scale that held |h*M|
+    argv = ["spectrum", "--two-j", "40", "--p", "0.5 0.99", "--m", "0 3 10"]
+    columns = []
+    for h in (0.0, 1.0, 1e100, 1e200, 1e300):
+        (tmp_path / "run.cfg").write_text(f"h={h!r}\n", encoding="utf-8")
+        assert main(argv + ["--config", str(tmp_path / "run.cfg"), "--out", str(tmp_path / "out")]) == 0
+        rows = [r.split(",") for r in read(tmp_path / "out" / "spectra.csv").splitlines()[1:]]
+        assert len(rows) == 2 * (41 + 38 + 31)
+        columns.append([(r[7], r[9]) for r in rows])
+    assert all(c == columns[0] for c in columns[1:])
+
+
 @pytest.mark.parametrize("p,gamma", [("0.5", 1e-200), ("0", 1e-200), ("0.5", 1e-320), ("0", 1e200)])
 def test_evolve_runs_at_rates_whose_coupling_products_leave_the_double_range(capsys, tmp_path, p, gamma):
     # propagate never forms the product of a mirrored pair, so these rates are valid runs;
@@ -484,6 +517,27 @@ def test_scaling_reports_the_first_failing_task_in_config_order(capsys, monkeypa
     assert capsys.readouterr().err.splitlines() == ["error: eigenvalues failed (two_j=16, M=0)"]
     assert solved == [8, 12, 16]
     assert not (tmp_path / "a").exists() and not (tmp_path / "b").exists()
+
+
+def test_scaling_measures_each_p_against_its_critical_value(tmp_path):
+    # without lambda_c_per_j each p is measured against closed_forms.critical_value_per_j, which the
+    # precursors approach at every p (one shared -0.133975 left p = 0.3 and 0.7 off by 0.08 to 0.14);
+    # a given lambda_c_per_j still holds for every p
+    gamma = 0.9137
+    (tmp_path / "run.cfg").write_text(f"gamma={gamma!r}\nh=1.3\n", encoding="utf-8")
+    argv = ["scaling", "--two-j", "640", "--p", "0.3 0.5 0.7", "--gamma-bound", "1e-4 1e-5 1e-6",
+            "--config", str(tmp_path / "run.cfg")]
+    assert main(argv + ["--out", str(tmp_path / "own")]) == 0
+    rows = [r.split(",") for r in read(tmp_path / "own" / "precursor.csv").splitlines()[1:]]
+    assert len(rows) == 3 * 3
+    for r in rows:
+        p, lam_star, diff = float(r[1]), float(r[7]), float(r[8])
+        assert diff == lam_star / 320 - critical_value_per_j(p, gamma)
+        assert abs(diff) <= 0.0071 * gamma
+    (tmp_path / "run.cfg").write_text(f"gamma={gamma!r}\nh=1.3\nlambda_c_per_j=-0.1\n", encoding="utf-8")
+    assert main(argv + ["--out", str(tmp_path / "given")]) == 0
+    rows = [r.split(",") for r in read(tmp_path / "given" / "precursor.csv").splitlines()[1:]]
+    assert all(float(r[8]) == float(r[7]) / 320 + 0.1 for r in rows)
 
 
 def test_scaling_command(tmp_path):

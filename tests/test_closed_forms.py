@@ -312,6 +312,18 @@ def test_thermal_ss_full_polarization():
     assert th.jz == -5.0
 
 
+def test_critical_value_per_j():
+    assert cf.critical_value_per_j(0.5, 1.0) == pytest.approx(-(1 - math.sqrt(0.75)), rel=1e-15)
+    assert cf.critical_value_per_j(0.5, 1.0) == pytest.approx(-0.133975, abs=1e-6)  # the old default
+    for p in (0.3, 0.7, 0.9):
+        assert cf.critical_value_per_j(-p, 2.0) == cf.critical_value_per_j(p, 2.0)
+        assert cf.critical_value_per_j(p, 2.0) == pytest.approx(-2.0 * (1 - math.sqrt(1 - p * p)), rel=1e-14)
+    assert cf.critical_value_per_j(1.0, 1.0) == -1.0
+    assert cf.critical_value_per_j(0.0, 1.0) == 0.0
+    # no cancellation at small p: -p^2/2 (1 + p^2/4 + ...)
+    assert cf.critical_value_per_j(1e-10, 1.0) == pytest.approx(-5e-21, rel=1e-15)
+
+
 def test_ep_halflife_values():
     assert cf.ep_halflife(-2.0, False) == pytest.approx(0.3466, abs=1e-3)
     assert cf.ep_halflife(-2.0, True) == pytest.approx(0.5731, abs=1e-3)

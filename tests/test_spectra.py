@@ -62,6 +62,58 @@ def test_residual_invariant():
         assert dec.residual_norms.max() <= 1e-8 * dec.operator_scale
 
 
+@pytest.mark.parametrize("p", [0.5, 0.99])
+def test_decomposition_does_not_depend_on_the_field(p):
+    # the shift h*M cancels from every real solve and from the scale the solves divide by, so real
+    # parts, eigenvectors, residuals and d_N keep their bits for any h (when the solves divided by
+    # a scale that held |h*M|, d_N moved by 0.88 at h = 1e200, M = 10)
+    for M in (0, 3, 10):
+        base = dec_for(40, p, M, h=0.0)
+        for h in (1.0, 1e100, 1e200, 1e300):
+            dec = dec_for(40, p, M, h=h)
+            for a, b in ((dec.eigenvalues.real, base.eigenvalues.real),
+                         (dec.right_eigenvectors, base.right_eigenvectors),
+                         (dec.residual_norms, base.residual_norms), (dec.distances, base.distances)):
+                assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("p", [0.5, 0.99])
+def test_tiny_rate_keeps_residuals_and_distances(p):
+    # at gamma = 1e-200 the squares of an unscaled residual underflow (every norm read exactly 0),
+    # and a scale that held h*M = 10 moved d_N by 0.90 in M = 10
+    for M in (0, 3, 10):
+        op = build_sector(ModelParams(two_j=40, p=p, gamma=1e-200), M)
+        dec = sp.diagonalize(op)
+        assert dec.residual_norms.min() > 0
+        assert dec.residual_norms.max() <= 1e-8 * sp._band_scale(op)
+        assert np.abs(dec.distances - dec_for(40, p, M).distances).max() <= 1e-11
+
+
+def test_band_scale_is_the_least_power_of_two_above_the_bands():
+    sec = sector_basis(ModelParams(two_j=4), 0)
+
+    def scale(diag, upper, lower, shift=0.0):
+        return sp._band_scale(SectorOperator(sector=sec, diag=np.array(diag), upper=np.array(upper),
+                                             lower=np.array(lower), shift=shift))
+
+    assert scale([-3.0, -1.0], [0.5], [2.5]) == 4.0
+    assert scale([-4.0, -1.0], [0.5], [2.5], shift=1e300) == 4.0  # an exact power of two, h*M left out
+    assert scale([-1.0, -1.0], [5e-320], [3.0]) == 4.0
+    assert scale([-1e-320], [], []) == 2.0**-1063
+    assert scale([0.0], [], []) == 1.0
+    # build_sector makes entries above 2^1023, and 2^1024 is no double
+    op = build_sector(ModelParams(two_j=3, p=0.99, gamma=4e307), 0)
+    assert np.abs(op.diag).max() > 2.0**1023 and sp._band_scale(op) == 2.0**1023
+
+
+def test_coupling_far_below_the_diagonal_is_underflow():
+    # at gamma0 = 1e300 the couplings of sector -3 lie 1e300 below its diagonal: their scaled square
+    # underflows, which is an error rather than a coupling of 0
+    op = build_sector(ModelParams(two_j=4, p=0.5, gamma0=1e300), -3)
+    with pytest.raises(sp.EigensolverError, match=r"underflows the double range \(two_j=4, M=-3\)"):
+        sp.eigenvalues_only(op)
+
+
 def test_residual_norms_match_per_column_definition():
     for p, M in ((0.5, 0), (0.0, 3), (1.0, 0), (-0.8, -2), (0.5, 7)):
         op = build_sector(ModelParams(two_j=40, p=p), M)
@@ -92,7 +144,7 @@ def per_column_eigenvectors(op, nudged=(), lams=None):
     lams = sp.eigenvalues_only(op) if lams is None else lams
     v0 = np.random.default_rng(sp._INV_ITER_SEED).standard_normal(n)
     b = (v0 / np.abs(v0).max() * 2.0**-1000)[:, None]
-    scale = op.scale()
+    scale = sp._band_scale(op)
     sub, diag, sup = op.upper / scale, op.diag / scale, op.lower / scale
     V = np.empty((n, n))
     for idx, lam in enumerate(lams.real / scale):
@@ -304,7 +356,7 @@ def test_walk_adds_only_new_distances(monkeypatch, two_j, p):
     # each block appends the distances of its own pairs; every list the stopping rule reads, and the
     # eigenvectors, are bitwise those of the walk that recomputed every distance after each block
     op = build_sector(ModelParams(two_j=two_j, p=p), 0)
-    w, scale = sp.eigenvalues_only(op), op.scale()
+    w, scale = sp.eigenvalues_only(op), sp._band_scale(op)
     seen, first_open = [], sp._first_open_doublet
 
     def reading(d, bound):
