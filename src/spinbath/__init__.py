@@ -12,7 +12,6 @@ from .liouvillian import (
     SectorOperator,
     build_bruteforce,
     build_sector,
-    gamma0_shift_check,
 )
 from .spectra import (
     DensityOfStates,

@@ -54,17 +54,20 @@ def _require_full_polarization(params: ModelParams):
         raise ValueError(f"requires |p| = 1, got p={params.p}")
 
 
+def _triangular_diagonal(params: ModelParams, m, M: int):
+    """Diagonal eigenvalue of the triangular limit at the label m, or at every label of an array m."""
+    j, G, h, p = params.j, params.gamma, params.h, params.p
+    lam = -G * (j + 1) + 1j * h * M + (G / (2 * j)) * (M * (M + p) - 2 * m * (M - m + p))
+    return lam + -params.gamma0 * M**2 / (2 * j) if params.gamma0 else lam
+
+
 def triangular_eigenvalue(params: ModelParams, m: float, M: int) -> complex:
     """Diagonal eigenvalue of the triangular limit |p| = 1."""
     _require_full_polarization(params)
     sec = sector_basis(params, M)
     if not (sec.m_min - 1e-9 <= m <= sec.m_max + 1e-9):
         raise ValueError(f"m={m} outside sector M={M}")
-    j, G, h, p = params.j, params.gamma, params.h, params.p
-    lam = -G * (j + 1) + 1j * h * M + (G / (2 * j)) * (M * (M + p) - 2 * m * (M - m + p))
-    if params.gamma0:
-        lam += -params.gamma0 * M**2 / (2 * j)
-    return complex(lam)
+    return complex(_triangular_diagonal(params, m, M))
 
 
 @dataclass(frozen=True)
@@ -87,7 +90,7 @@ def triangular_solution(params: ModelParams, M: int) -> TriangularSolution:
     _require_full_polarization(params)
     sec = sector_basis(params, M)
     ms = sec.m_values()
-    lams = np.array([triangular_eigenvalue(params, m, M) for m in ms])
+    lams = _triangular_diagonal(params, ms, M)
     pairing = {}
     exceptions = []
     for m in ms:

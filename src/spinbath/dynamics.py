@@ -1,8 +1,9 @@
 """Time propagation of vectorized density matrices, observables, and the
 slowing-down / critical-dynamics experiments.
 
-The generator is a real tridiagonal R_M plus the scalar i h M, so each sector
-is propagated in real arithmetic and picks up the phase e^{i h M t} at the end.
+The generator is a real tridiagonal R_M plus the constant complex shift
+c_M = -gamma0 M^2/(2j) + i h M, so each sector is propagated in real
+arithmetic and picks up the factor e^{c_M t} at the end.
 A sector with symmetric bands (every sector at p = 0) is propagated in its
 orthogonal eigenbasis, whose condition number is 1; t = 0 returns the initial
 state exactly.  Every other sector avoids its eigenbasis, which is
@@ -207,10 +208,11 @@ def _grouped_steps(ts: np.ndarray) -> np.ndarray:
 def propagate(params: ModelParams, rho0: VectorizedDensityMatrix, times) -> list[VectorizedDensityMatrix]:
     """States exp(t L) rho0 at the requested times (nondecreasing, t >= 0).
 
-    Every sector generator is L_M = R_M + i h M with R_M its real bands, so
-    exp(t L_M) v = e^{i h M t} exp(t R_M) v and the whole propagation runs in
-    real arithmetic on the (n, 2) view of the complex sector vector; the phase
-    is applied once per sector for all times.  Two ways to apply exp(t R_M):
+    Every sector generator is L_M = R_M + c_M with R_M its real bands and
+    c_M = -gamma0 M^2/(2j) + i h M its shift, so exp(t L_M) v =
+    e^{c_M t} exp(t R_M) v and the whole propagation runs in real arithmetic
+    on the (n, 2) view of the complex sector vector; the factor e^{c_M t} is
+    applied once per sector for all times.  Two ways to apply exp(t R_M):
 
     * R_M symmetric (upper band == lower band, which holds in every sector at
       p = 0 and in every 1-dimensional sector): R_M = Q diag(lam) Q^T with Q
@@ -220,7 +222,8 @@ def propagate(params: ModelParams, rho0: VectorizedDensityMatrix, times) -> list
       exactly.
     * otherwise the eigenbasis is ill-conditioned near coalescing pairs, and
       exp(dt R_M) over an output interval dt is k substeps exp(A), A = R_M dt/k
-      with ||R_M|| dt/k <= _EXPM_STEP_NORM.  Lengths that differ by at most
+      with ||R_M|| dt/k <= _EXPM_STEP_NORM, ||R_M|| bounded by the largest
+      |entry| of each band, summed.  Lengths that differ by at most
       _STEP_ULPS float spacings of t_max (the rounding scatter of np.linspace)
       count as one, so a uniform grid has one distinct length.  With n the
       sector dimension and S the sum of k over all intervals, the sector takes
@@ -247,7 +250,7 @@ def propagate(params: ModelParams, rho0: VectorizedDensityMatrix, times) -> list
 
       The banded path was not run on lin:0:3000:121, where S ~ 750 n.
 
-    Sector -M (M > 0) has the bands of sector M and the opposite shift, so
+    Sector -M (M > 0) has the bands of sector M and the conjugate shift, so
     L_{-M} = conj(L_M).  When rho0 holds both and sectors[-M] is bitwise
     np.conj(sectors[M]) (coherent_state builds its sectors so), the output block
     of -M is np.conj of the block of M, computed once for all times; a -M
@@ -265,8 +268,9 @@ def propagate(params: ModelParams, rho0: VectorizedDensityMatrix, times) -> list
         if M in mirrored:
             continue
         op = build_sector(params, M)
-        if not math.isfinite(op.shift * float(ts[-1])):
-            raise ValueError(f"phase h*M*t overflows the double range (two_j={params.two_j}, M={M})")
+        for name, rate in (("phase h*M*t", op.shift.imag), ("decay gamma0*M^2*t/(2j)", op.shift.real)):
+            if not math.isfinite(rate * float(ts[-1])):
+                raise ValueError(f"{name} overflows the double range (two_j={params.two_j}, M={M})")
         u0 = np.array(v0, dtype=complex).view(float).reshape(-1, 2)
         if np.array_equal(op.upper, op.lower):
             if op.dim == 1:
@@ -280,7 +284,8 @@ def propagate(params: ModelParams, rho0: VectorizedDensityMatrix, times) -> list
         else:
             # substeps per interval, so that ||R_M|| dt / k <= _EXPM_STEP_NORM
             with np.errstate(over="ignore"):
-                ratio = op.scale() * steps / _EXPM_STEP_NORM
+                norm = np.abs(op.diag).max() + (np.abs(op.upper).max() + np.abs(op.lower).max())
+                ratio = float(norm) * steps / _EXPM_STEP_NORM
             if not np.isfinite(ratio).all():
                 raise ValueError(f"substep count overflows the double range (two_j={params.two_j}, M={M})")
             substeps = np.ceil(ratio)
@@ -290,7 +295,7 @@ def propagate(params: ModelParams, rho0: VectorizedDensityMatrix, times) -> list
                 U = _dense_propagate(op, M == 0, steps, ratio, u0)
         V = U.view(complex)[..., 0]
         if M:
-            V = V * np.exp(1j * op.shift * ts)[:, None]
+            V = V * np.exp(op.shift * ts)[:, None]
         blocks[M] = V
     for M in mirrored:
         blocks[M] = np.conj(blocks[-M])
@@ -310,7 +315,7 @@ def _dense_propagate(op, stochastic: bool, steps: np.ndarray, ratio: np.ndarray,
     those sums, which at Gamma ~ 1e14 loses the trace, so every square gets
     its columns divided by their sums.
     """
-    R = op.to_dense().real
+    R = np.diag(op.diag) + np.diag(op.upper, -1) + np.diag(op.lower, 1)
     cache: dict[float, np.ndarray] = {}
     U = np.empty((len(steps), *u0.shape))
     u = u0

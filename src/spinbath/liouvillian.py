@@ -10,7 +10,7 @@ appropriate full-polarization limit, making the operator triangular there.
 
 from __future__ import annotations
 
-import math
+import cmath
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -23,7 +23,6 @@ __all__ = [
     "FullLiouvillian",
     "build_sector",
     "build_bruteforce",
-    "gamma0_shift_check",
     "BRUTEFORCE_MAX_HILBERT_DIM",
 ]
 
@@ -37,8 +36,9 @@ _LADDER_CACHE = 64
 class SectorOperator:
     """Tridiagonal action of the Liouvillian on one M sector.
 
-    The operator is the real float64 tridiagonal (diag, upper, lower) plus the
-    constant i*shift on its diagonal, shift = h*M; to_dense, matvec and scale add it.
+    The operator is the real float64 tridiagonal (diag, upper, lower), which
+    depends on Gamma, p and |M| only, plus the complex constant
+    shift = -gamma0 M^2/(2j) + i h M on its diagonal; to_dense and matvec add it.
     upper[k] feeds component m_k into m_{k+1} (dense entry [k+1, k]);
     lower[k] feeds component m_{k+1} into m_k (dense entry [k, k+1]).
     """
@@ -47,7 +47,7 @@ class SectorOperator:
     diag: np.ndarray
     upper: np.ndarray
     lower: np.ndarray
-    shift: float
+    shift: complex
 
     @property
     def dim(self) -> int:
@@ -56,7 +56,7 @@ class SectorOperator:
     def to_dense(self) -> np.ndarray:
         n = self.dim
         A = np.zeros((n, n), dtype=complex)
-        A[np.arange(n), np.arange(n)] = self.diag + 1j * self.shift
+        A[np.arange(n), np.arange(n)] = self.diag + self.shift
         if n > 1:
             A[np.arange(1, n), np.arange(n - 1)] = self.upper
             A[np.arange(n - 1), np.arange(1, n)] = self.lower
@@ -64,7 +64,7 @@ class SectorOperator:
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         """L v for a vector v, or for every column of an (n, k) block v."""
-        diag, upper, lower = self.diag + 1j * self.shift, self.upper, self.lower
+        diag, upper, lower = self.diag + self.shift, self.upper, self.lower
         if v.ndim == 2:
             diag, upper, lower = diag[:, None], upper[:, None], lower[:, None]
         out = diag * v
@@ -72,13 +72,6 @@ class SectorOperator:
             out[1:] += upper * v[:-1]
             out[:-1] += lower * v[1:]
         return out
-
-    def scale(self) -> float:
-        """Magnitude estimate (max row sum) used in relative tolerances."""
-        s = np.abs(self.diag + 1j * self.shift).max()
-        if self.dim > 1:
-            s += np.abs(self.upper).max() + np.abs(self.lower).max()
-        return float(s)
 
 
 @lru_cache(maxsize=_LADDER_CACHE)
@@ -97,42 +90,41 @@ def _ladder_tables(two_j: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def build_sector(params: ModelParams, M: int) -> SectorOperator:
-    """Tridiagonal Liouvillian restricted to sector M: real bands, shift h*M.
+    """Tridiagonal Liouvillian restricted to sector M: the real bands of sector |M|, plus its shift.
 
+    Component k of sector -M is the conjugate of component k of sector M and
+    L(rho^+) = L(rho)^+, so sector -M is the conjugate of sector M: the same
+    bands, built from |M| with Gamma and p only, and the conjugate shift.
     Rates near the float limit can overflow the bands or the shift, and a
     tiny rate can underflow an off-diagonal entry to 0; either raises one
     ValueError naming the sector instead of passing inf, NaN or a false 0 on.
     """
     sec = sector_basis(params, M)
     j, G, G0, h, p = params.j, params.gamma, params.gamma0, params.h, params.p
-    ms = sec.m_values()
+    A = abs(M)
     n = sec.dim
-    # table index of the sector's first m (m_min = -j + k0) and of m_min - M
-    k0 = max(0, M)
+    # m values of sector |M|, whose first one, m = -j + A, is ladder table index A
+    ms = (-j + A) + np.arange(n)
     c_raise, c_lower = _ladder_tables(params.two_j)
     with np.errstate(over="ignore", invalid="ignore"):
         diag = (
             -G * (j + 1)
-            + (G / j) * ms * (ms - M)
-            + ((G - G0) / (2 * j)) * M**2
-            - (G * p / (2 * j)) * (2 * ms - M)
+            + (G / j) * ms * (ms - A)
+            + (G / (2 * j)) * A**2
+            - (G * p / (2 * j)) * (2 * ms - A)
         )
-        # upper couples m -> m+1 with C+(m) C+(m-M), lower m -> m-1 with C-(m) C-(m-M)
-        upper = (G / j) * (1 - p) / 2 * c_raise[k0 : k0 + n - 1] * c_raise[k0 - M : k0 - M + n - 1]
-        lower = (G / j) * (1 + p) / 2 * c_lower[k0 + 1 : k0 + n] * c_lower[k0 + 1 - M : k0 + n - M]
-    shift = h * M
+        # upper couples m -> m+1 with C+(m) C+(m-A), lower m -> m-1 with C-(m) C-(m-A)
+        upper = (G / j) * (1 - p) / 2 * c_raise[A : A + n - 1] * c_raise[: n - 1]
+        lower = (G / j) * (1 + p) / 2 * c_lower[A + 1 : A + n] * c_lower[1:n]
+    # a real part plus 1j * (h * M): at gamma0 = 0 this is bitwise 1j * (h * M), signed zeros included
+    shift = -G0 * M**2 / (2 * j) + 1j * (h * M)
     if not (np.isfinite(diag).all() and np.isfinite(upper).all() and np.isfinite(lower).all()
-            and math.isfinite(shift)):
+            and cmath.isfinite(shift)):
         raise ValueError(f"sector operator overflows the double range (two_j={params.two_j}, M={M})")
     # below full polarization no off-diagonal entry is 0; a 0 there is an underflow
     if abs(p) < 1 and not (upper.all() and lower.all()):
         raise ValueError(f"sector operator underflows the double range (two_j={params.two_j}, M={M})")
     return SectorOperator(sector=sec, diag=diag, upper=upper, lower=lower, shift=shift)
-
-
-def gamma0_shift_check(params: ModelParams, M: int) -> float:
-    """Uniform real shift -gamma0 M^2 / (2j) that dephasing adds to sector M."""
-    return -params.gamma0 * M**2 / (2 * params.j)
 
 
 @dataclass(frozen=True)
@@ -151,16 +143,9 @@ class FullLiouvillian:
         return self.matrix.shape[0]
 
     def sector_indices(self, M: int) -> np.ndarray:
-        """Flat indices of sector M, ordered by ascending m (left index)."""
-        sec = sector_basis(self.params, M)
-        N = self.params.hilbert_dim
-        j = self.params.j
-        out = []
-        for m in sec.m_values():
-            a = int(round(m + j))
-            b = int(round(m - M + j))
-            out.append(a * N + b)
-        return np.asarray(out, dtype=int)
+        """Flat indices of sector M, ordered by ascending m (left index): a*N + b with b = a - M."""
+        a = np.rint(sector_basis(self.params, M).m_values() + self.params.j).astype(int)
+        return a * self.params.hilbert_dim + a - M
 
     def eigenvalues(self) -> np.ndarray:
         return np.linalg.eigvals(self.matrix)

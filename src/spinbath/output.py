@@ -194,10 +194,11 @@ _SVG_COLORS = ["#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd", "#8c564b",
 def _axes(xs, ys, width, height, pad):
     x0, x1 = float(np.min(xs)), float(np.max(xs))
     y0, y1 = float(np.min(ys)), float(np.max(ys))
+    # an axis without spread gets one; + 1 alone is lost to rounding from |x0| = 2^53 on
     if x1 == x0:
-        x1 = x0 + 1.0
+        x1 = x0 + max(1.0, abs(x0))
     if y1 == y0:
-        y1 = y0 + 1.0
+        y1 = y0 + max(1.0, abs(y0))
     sx = lambda x: pad + (x - x0) / (x1 - x0) * (width - 2 * pad)
     sy = lambda y: height - pad - (y - y0) / (y1 - y0) * (height - 2 * pad)
     return sx, sy, (x0, x1, y0, y1)

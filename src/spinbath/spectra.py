@@ -1,24 +1,23 @@
 """Non-Hermitian sector diagonalization and the exceptional-point scan pipeline.
 
-Every sector operator holds real bands plus the scalar shift h*M, meaning
-i*shift on its diagonal, and for |p| < 1 both off-diagonal bands are strictly
-positive.  Such bands are diagonally similar to a real symmetric tridiagonal
-matrix, so the spectrum is {real value + i*shift} exactly and is obtained,
-fully converged, from the symmetric eigenproblem of the bands as they are:
-one LAPACK dstevd call per sector.  It goes through ctypes, which releases
-the interpreter lock for the call (scipy's wrapper of the same routine holds
-it), so diagonalize_each runs the eigenvalue solves of the sectors ahead on
-one helper thread while the calling thread computes eigenvectors.  Every
-eigenvalue carries the same i*shift, so L - lambda is the real bands minus
-Re(lambda), and each eigenvector is one real LAPACK tridiagonal solve (dgtsv,
-one call per block of eigenvalues), i.e. a single inverse-iteration step
-from a fixed start vector, built once per dimension and cached read-only.
-The residuals ||(L - lambda) v|| are computed on the real bands as well.
-The coupling, the solves and the residuals divide the bands by one power of
-two per sector (_band_scale), which changes no bit where the unscaled
-arithmetic stays in the double range, keeps it there at any rate, and leaves
-out h, so eigenvectors and d_N do not depend on the field.
-Near a coalesced pair both shifts land on the common direction, which is
+Every sector operator holds real bands plus one complex constant shift on its
+diagonal, and for |p| < 1 both off-diagonal bands are strictly positive.  Such
+bands are diagonally similar to a real symmetric tridiagonal matrix, so the
+spectrum is {band eigenvalue + shift} exactly, the band eigenvalues fully
+converged from one LAPACK dstevd call per sector.  It goes through ctypes,
+which releases the interpreter lock (scipy's wrapper of the same routine
+holds it), so diagonalize_each runs the eigenvalue solves of the sectors
+ahead on one helper thread while the calling thread computes eigenvectors.
+The shift cancels from L - lambda, the real bands minus the band eigenvalue,
+so each eigenvector is one real LAPACK tridiagonal solve (dgtsv, one call per
+block of eigenvalues): a single inverse-iteration step from a fixed start
+vector, cached read-only per dimension.  The coupling, the solves and the
+residuals ||(L - lambda) v|| read the bands and the band eigenvalues (never
+lambda minus a shift that may dwarf them) divided by one power of two per
+sector (_band_scale, also its operator_scale): no bit changes where the
+unscaled arithmetic stays in the double range, it stays there at any rate,
+and eigenvectors and d_N depend on neither gamma0 nor h.
+Near a coalesced pair both solves land on the common direction, which is
 precisely the physics the eigenvector distance d_N is meant to capture.
 
 Each coalescence decision lives once, here: pair_distances is the one d_N
@@ -108,10 +107,11 @@ def _sector_error(message: str, sec) -> EigensolverError:
 class SpectralDecomposition:
     """Ordered spectrum of one sector with unit-norm right eigenvectors.
 
-    eigenvalues are sorted by descending real part (all share the imaginary
-    part h*M); right_eigenvectors[:, N] is real (float64), belongs to
+    eigenvalues (band eigenvalues plus the shift) are sorted by descending
+    real part; right_eigenvectors[:, N] is real (float64), belongs to
     eigenvalues[N] and has its largest component positive.  residual_norms[N]
-    is ||L v_N - lambda_N v_N||, recomputed from the operator's bands.
+    is ||L v_N - lambda_N v_N||, recomputed from the bands, against the band
+    scale operator_scale.
     eigenvalues always hold all dim values; built with a bound (see
     diagonalize), right_eigenvectors and residual_norms may hold only the
     leading columns, fewer than dim.  distances holds their d_N (see
@@ -217,7 +217,7 @@ _TINY = np.finfo(float).tiny
 def _band_scale(op: SectorOperator) -> float:
     """The least power of two at or above every |entry| of the real bands (2^1023 above that).
 
-    h*M is left out: it cancels from every real solve.  A normal double
+    The shift is left out: it cancels from every real solve.  A normal double
     divided by a power of two keeps its bits, so the coupling, the solves and
     the residuals on the bands divided by it are bitwise the unscaled
     arithmetic wherever that stays in the double range.
@@ -246,8 +246,8 @@ def _symmetric_coupling(op: SectorOperator) -> np.ndarray:
     raise _sector_error("sector operator underflows the double range", op.sector)
 
 
-def eigenvalues_only(op: SectorOperator) -> np.ndarray:
-    """Sector spectrum (descending real part) without eigenvectors.
+def _band_eigenvalues(op: SectorOperator) -> np.ndarray:
+    """Eigenvalues of the real bands, descending: the sector spectrum without its shift.
 
     Uses the similarity to a real symmetric tridiagonal for |p| < 1, whose
     eigenvalues come from LAPACK dstevd without eigenvectors (the routine
@@ -261,13 +261,16 @@ def eigenvalues_only(op: SectorOperator) -> np.ndarray:
     if not (np.isfinite(op.diag).all() and np.isfinite(op.upper).all() and np.isfinite(op.lower).all()):
         raise _sector_error("non-finite bands", op.sector)
     if not (op.upper.any() and op.lower.any()):
-        w = np.sort(op.diag)[::-1]
-    else:
-        w, info = _dstevd_values(op.diag, _symmetric_coupling(op))
-        if info:
-            raise _sector_error(f"dstevd failed (info={info})", op.sector)
-        w = w[::-1]
-    return w + 1j * op.shift
+        return np.sort(op.diag)[::-1]
+    w, info = _dstevd_values(op.diag, _symmetric_coupling(op))
+    if info:
+        raise _sector_error(f"dstevd failed (info={info})", op.sector)
+    return w[::-1]
+
+
+def eigenvalues_only(op: SectorOperator) -> np.ndarray:
+    """Sector spectrum (descending real part) without eigenvectors: the band eigenvalues plus the shift."""
+    return _band_eigenvalues(op) + op.shift
 
 
 @lru_cache(maxsize=_START_CACHE)
@@ -286,13 +289,13 @@ def _start_vector(n: int) -> np.ndarray:
 def _inverse_iteration(op: SectorOperator, lams: np.ndarray, scale: float) -> np.ndarray:
     """Real unit right eigenvectors, one LAPACK tridiagonal solve per block of eigenvalues.
 
-    Every eigenvalue carries the operator's i*shift, so L - lam is the real
-    bands minus Re(lam), and the eigenvectors are real.
+    lams are band eigenvalues: the shift cancels, L - lambda is the real bands
+    minus lam, and the eigenvectors are real.
     Each column solves the bands divided by scale (_band_scale(op)), shifted
     by its lam, from one fixed start vector scaled by 2^-1000 (_start_vector).
     That start keeps the resolvent of this highly non-normal family inside
     the double range, and the division makes this window independent of the
-    rates; neither depends on h, so neither do the eigenvectors.  Up to
+    rates; neither depends on the shift, so neither do the eigenvectors.  Up to
     _SOLVE_ELEMENTS // dim columns go to one dgtsv call as the block-diagonal
     system of their shifted copies: the couplings between copies are 0, so
     elimination never crosses a copy and each column is bitwise its own solve.
@@ -310,7 +313,7 @@ def _inverse_iteration(op: SectorOperator, lams: np.ndarray, scale: float) -> np
     """
     n = op.dim
     b = _start_vector(n)
-    diag, lam = op.diag / scale, lams.real / scale
+    diag, lam = op.diag / scale, lams / scale
     k = max(1, min(len(lams), _SOLVE_ELEMENTS // n))
     # k copies of each off-diagonal band, each closed by a zero coupling to the next copy;
     # dgtsv takes the sub-, main and superdiagonal, and op.upper lies below the diagonal
@@ -391,18 +394,18 @@ def _eigenvectors_to_precursor(op: SectorOperator, w: np.ndarray, bound: float,
 def diagonalize(op: SectorOperator, bound: float | None = None, *, _eigenvalues=None) -> SpectralDecomposition:
     """Spectral decomposition of a sector operator, with real eigenvectors.
 
-    Every eigenvalue comes from eigenvalues_only, every eigenvector from
-    inverse iteration (see module docstring).  With a bound in (0, 1), every
-    eigenvalue is still computed, but eigenvectors and residuals only for the
-    leading columns that reach the precursor of ep_scan at that bound, which
-    is also enough for ep_scan at any smaller bound.  _eigenvalues is
-    eigenvalues_only(op) computed ahead, by diagonalize_each only.
+    Eigenvalues are those of eigenvalues_only, eigenvectors come from inverse
+    iteration on the band eigenvalues (see module docstring).  With a bound in
+    (0, 1), every eigenvalue is still computed, but eigenvectors and residuals
+    only for the leading columns that reach the precursor of ep_scan at that
+    bound, which is also enough for ep_scan at any smaller bound.  _eigenvalues
+    is _band_eigenvalues(op) computed ahead, by diagonalize_each only.
     """
     if op.dim < 1:
         raise ValueError("empty sector operator")
     if bound is not None:
         check_bound(bound)
-    w = eigenvalues_only(op) if _eigenvalues is None else _eigenvalues
+    w = _band_eigenvalues(op) if _eigenvalues is None else _eigenvalues
     scale = _band_scale(op)
     d = None  # the decomposition computes the distances of a full solve
     if op.dim == 1:
@@ -413,10 +416,10 @@ def diagonalize(op: SectorOperator, bound: float | None = None, *, _eigenvalues=
         V, d = _eigenvectors_to_precursor(op, w, bound, scale)
     return SpectralDecomposition(
         sector=op.sector,
-        eigenvalues=w,
+        eigenvalues=w + op.shift,
         right_eigenvectors=V,
-        residual_norms=_residual_norms(op, V, w.real[: V.shape[1]], scale),
-        operator_scale=op.scale(),
+        residual_norms=_residual_norms(op, V, w[: V.shape[1]], scale),
+        operator_scale=scale,
         distances=d,
     )
 
@@ -449,9 +452,9 @@ def _move_to(cpus: set) -> None:
 def diagonalize_each(ops, bound: float | None = None):
     """diagonalize(op, bound) for each operator of the iterable ops, yielded in order.
 
-    One helper thread computes eigenvalues_only of the operators ahead, up to
-    _LOOKAHEAD of them, while the calling thread computes the eigenvectors of
-    the current one; the LAPACK call of eigenvalues_only releases the
+    One helper thread computes the band eigenvalues of the operators ahead, up
+    to _LOOKAHEAD of them, while the calling thread computes the eigenvectors
+    of the current one; the LAPACK call of _band_eigenvalues releases the
     interpreter lock, so the two run at once on two CPUs.  Everything else,
     building the operators of ops included, runs on the calling thread.  The
     first failure in the order of ops is raised as it is, and no eigenvalue
@@ -465,7 +468,7 @@ def diagonalize_each(ops, bound: float | None = None):
         if halt.is_set():
             return None  # an earlier task failed, and its error is the one raised
         try:
-            return eigenvalues_only(op)
+            return _band_eigenvalues(op)
         except BaseException:
             halt.set()
             raise
@@ -502,8 +505,8 @@ def diagonalize_each(ops, bound: float | None = None):
 def _residual_norms(op: SectorOperator, V: np.ndarray, lam: np.ndarray, s: float) -> np.ndarray:
     """||L v - lambda v|| per column of V, in real arithmetic: s * ||(bands / s - lam / s) v||.
 
-    Each eigenvalue is lam + i*shift exactly, so the i*shift of L cancels and
-    the residual is (real bands - lam) v, with no complex temporaries.  With
+    lam holds band eigenvalues, so the shift cancels and the residual is
+    (real bands - lam) v, with no complex temporaries.  With
     s = _band_scale(op) the squares neither over- nor underflow at huge or
     tiny rates, and elsewhere the norm is bitwise that of the unscaled bands.
     """
@@ -638,10 +641,10 @@ def density_of_states(decs, two_j: int, bins: int | None = None) -> DensityOfSta
 
 
 def kernel_dimension(op: SectorOperator, lam: complex, rel_tol: float = 1e-8) -> int:
-    """Numerical nullity of (L - lam I) via singular values below rel_tol*||L||."""
+    """Numerical nullity of (L - lam I) via singular values below rel_tol * _band_scale(op)."""
     A = op.to_dense() - lam * np.eye(op.dim)
     sv = np.linalg.svd(A, compute_uv=False)
-    tol = rel_tol * max(op.scale(), 1e-300)
+    tol = rel_tol * _band_scale(op)
     return int(np.sum(sv < tol))
 
 

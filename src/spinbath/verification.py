@@ -20,7 +20,7 @@ import numpy as np
 from . import closed_forms as cf
 from . import dynamics as dyn
 from . import spectra as sp
-from .liouvillian import build_bruteforce, build_sector, gamma0_shift_check
+from .liouvillian import build_bruteforce, build_sector
 from .model import ModelParams, sector_basis
 
 __all__ = ["CheckResult", "run_all_checks", "ALL_CHECKS"]
@@ -162,34 +162,39 @@ def check_trace_preservation() -> CheckResult:
             col = op.diag.copy()
             col[:-1] += op.upper
             col[1:] += op.lower
-            worst = max(worst, float(np.abs(col).max()) / op.scale())
+            worst = max(worst, float(np.abs(col).max()) / sp._band_scale(op))
     return CheckResult("trace-preservation-columns", worst <= 1e-12, worst, 1e-12,
                        "column sums of the M=0 sector relative to the operator scale")
+
+
+def _block(full, M: int) -> np.ndarray:
+    """Sector M of the brute-force Liouvillian, which does not depend on the sector builder."""
+    idx = full.sector_indices(M)
+    return full.matrix[np.ix_(idx, idx)]
 
 
 def check_hermiticity_covariance() -> CheckResult:
     worst = 0.0
     for two_j in (9, 16):
         params = ModelParams(two_j=two_j, p=0.35, gamma0=0.2)
+        full = build_bruteforce(params)
         for M in (1, 3, two_j - 1):
-            a = build_sector(params, M)
-            b = build_sector(params, -M)
-            worst = max(worst, float(np.abs(b.diag - a.diag).max()), abs(b.shift + a.shift))
-            worst = max(worst, float(np.abs(b.upper - a.upper).max(initial=0.0)))
-            worst = max(worst, float(np.abs(b.lower - a.lower).max(initial=0.0)))
+            a, b = _block(full, M), _block(full, -M)
+            worst = max(worst, float(np.abs(b - np.conj(a)).max()))
+            for sector, block in ((M, a), (-M, b)):
+                worst = max(worst, float(np.abs(build_sector(params, sector).to_dense() - block).max()))
     return CheckResult("hermiticity-covariance", worst <= 1e-12, worst, 1e-12,
-                       "sector -M has the bands of sector M and the opposite shift")
+                       "brute-force block -M is conj(block M), and each sector operator is its block")
 
 
 def check_sector_conjugation() -> CheckResult:
     worst = 0.0
-    for two_j in (14,):
-        params = ModelParams(two_j=two_j, p=0.5)
-        for M in (1, 4):
-            wa = sp.eigenvalues_only(build_sector(params, M))
-            wb = sp.eigenvalues_only(build_sector(params, -M))
-            worst = max(worst, multiset_match_error(wa, np.conj(wb)))
-    return CheckResult("sector-conjugation-spectra", worst <= 1e-10, worst, 1e-10)
+    full = build_bruteforce(ModelParams(two_j=14, p=0.5))
+    for M in (1, 4):
+        wa, wb = (np.linalg.eigvals(_block(full, sector)) for sector in (M, -M))
+        worst = max(worst, multiset_match_error(wa, np.conj(wb)))
+    return CheckResult("sector-conjugation-spectra", worst <= 1e-10, worst, 1e-10,
+                       "spectra of the brute-force blocks M and -M")
 
 
 def check_dissipativity() -> CheckResult:
@@ -229,15 +234,12 @@ def check_o3_closed_form() -> CheckResult:
 
 def check_gamma0_shift() -> CheckResult:
     worst = 0.0
-    for two_j in (10,):
-        base = ModelParams(two_j=two_j, p=0.3, gamma0=0.0)
-        shifted = ModelParams(two_j=two_j, p=0.3, gamma0=1.0)
-        for M in (0, 2, 7):
-            w0 = sp.eigenvalues_only(build_sector(base, M))
-            w1 = sp.eigenvalues_only(build_sector(shifted, M))
-            delta = gamma0_shift_check(shifted, M)
-            worst = max(worst, multiset_match_error(w1, w0 + delta))
-    return CheckResult("gamma0-constant-shift", worst <= 1e-10, worst, 1e-10)
+    fulls = [build_bruteforce(ModelParams(two_j=10, p=0.3, gamma0=g0)) for g0 in (0.0, 1.0)]
+    for M in (0, 2, 7):
+        w0, w1 = (np.linalg.eigvals(_block(full, M)) for full in fulls)
+        worst = max(worst, multiset_match_error(w1, w0 - M**2 / 10))  # -gamma0 M^2/(2j), gamma0 = 1, 2j = 10
+    return CheckResult("gamma0-constant-shift", worst <= 1e-10, worst, 1e-10,
+                       "brute-force block spectra at gamma0 = 1 against gamma0 = 0 plus -gamma0 M^2/(2j)")
 
 
 def check_cg_orthogonality() -> CheckResult:
@@ -263,7 +265,7 @@ def check_thermal_null_vector() -> CheckResult:
             params = ModelParams(two_j=two_j, p=p, gamma0=0.5)
             op = build_sector(params, 0)
             vec = cf.thermal_ss(params).coefficients
-            worst = max(worst, float(np.linalg.norm(op.matvec(vec.astype(complex)))) / op.scale())
+            worst = max(worst, float(np.linalg.norm(op.matvec(vec.astype(complex)))) / sp._band_scale(op))
     return CheckResult("thermal-steady-state-null", worst <= 1e-12, worst, 1e-12,
                        "||L_0 rho_ss|| / ||L|| with the geometric vector")
 

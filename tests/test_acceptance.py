@@ -20,7 +20,7 @@ from spinbath.liouvillian import build_bruteforce, build_sector
 from spinbath.model import ModelParams, sector_basis
 from spinbath.verification import multiset_match_error, run_all_checks
 
-LAMBDA_C_PER_J = -0.133975  # thermodynamic-limit critical value, p = 0.5, M = 0
+LAMBDA_C_PER_J = cf.critical_value_per_j(0.5, 1.0)  # thermodynamic-limit critical value, p = 0.5, M = 0
 
 
 def report(criterion, ok, detail):
@@ -57,7 +57,7 @@ def test_criterion_2_triangular_limit():
                 tri = cf.triangular_solution(params, M)
                 worst_closed = max(
                     worst_closed,
-                    multiset_match_error(np.sort(op.diag)[::-1] + 1j * op.shift, tri.eigenvalues),
+                    multiset_match_error(np.sort(op.diag)[::-1] + op.shift, tri.eigenvalues),
                 )
     # dense QR spectra (the general eigensolver, as an oracle) against the closed form on a size subsample
     worst_qr = 0.0
@@ -86,13 +86,13 @@ def test_criterion_2_triangular_limit():
                 if op.dim < 2:
                     continue
                 vals, counts = np.unique(np.round(op.diag, 10), return_counts=True)
-                doublets = vals[counts == 2] + 1j * op.shift
+                doublets = vals[counts == 2] + op.shift
                 if len(doublets) == 0:
                     continue
                 A = op.to_dense()
                 batch = A[None, :, :] - doublets[:, None, None] * np.eye(op.dim)[None, :, :]
                 sv = np.linalg.svd(batch, compute_uv=False)
-                kd = (sv < 1e-8 * op.scale()).sum(axis=1)
+                kd = (sv < 1e-8 * sp._band_scale(op)).sum(axis=1)
                 if not np.all(kd == 1):
                     kernel_ok = False
                 n_doublets += len(doublets)
@@ -132,7 +132,7 @@ def test_criterion_4_exact_steady_state():
             params = ModelParams(two_j=two_j, p=p)
             op = build_sector(params, 0)
             vec = cf.thermal_ss(params).coefficients.astype(complex)
-            worst_res = max(worst_res, float(np.linalg.norm(op.matvec(vec))) / op.scale())
+            worst_res = max(worst_res, float(np.linalg.norm(op.matvec(vec))) / sp._band_scale(op))
             dec = sp.diagonalize(op)
             k0 = int(np.argmin(np.abs(dec.eigenvalues)))
             null = dec.right_eigenvectors[:, k0]

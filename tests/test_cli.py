@@ -410,6 +410,28 @@ def test_spectrum_columns_do_not_depend_on_the_field(tmp_path):
     assert all(c == columns[0] for c in columns[1:])
 
 
+@pytest.mark.parametrize("argv,cfg_line", [
+    (["--two-j", "3", "--p", "0.99", "--m", "0"], "gamma=4e307"),
+    (["--two-j", "4", "--p", "0.5", "--m", "2"], "gamma0=1e17"),
+])
+def test_spectrum_at_extreme_rates_runs_clean(capsys, tmp_path, argv, cfg_line):
+    # RuntimeWarnings are errors here: at gamma = 4e307 a tolerance scale that summed the bands
+    # overflowed with a numpy warning; at gamma0 = 1e17 the real parts of sector 2 all round to
+    # -1e17, which once read as d_N = 0 (false exceptional points) and left the plot a 0 / 0 scale
+    argv = ["spectrum", *argv]
+    assert main(argv + ["--out", str(tmp_path / "unit")]) == 0
+    (tmp_path / "run.cfg").write_text(cfg_line + "\n", encoding="utf-8")
+    assert main(argv + ["--config", str(tmp_path / "run.cfg"), "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().err == ""
+    unit, out = ([r.split(",")[-1] for r in read(tmp_path / run / "spectra.csv").splitlines()[1:]]
+                 for run in ("unit", "out"))
+    assert len(out) == len(unit) > 2
+    # d_N does not depend on gamma0 at all, and on gamma only through rounding
+    assert out[-1] == unit[-1] == "nan"
+    tol = 0.0 if cfg_line.startswith("gamma0") else 1e-12
+    assert all(abs(float(a) - float(b)) <= tol for a, b in zip(out[:-1], unit[:-1]))
+
+
 @pytest.mark.parametrize("p,gamma", [("0.5", 1e-200), ("0", 1e-200), ("0.5", 1e-320), ("0", 1e200)])
 def test_evolve_runs_at_rates_whose_coupling_products_leave_the_double_range(capsys, tmp_path, p, gamma):
     # propagate never forms the product of a mirrored pair, so these rates are valid runs;
@@ -490,7 +512,7 @@ def test_scaling_reports_the_first_failing_task_in_config_order(capsys, monkeypa
     import spinbath.cli as cli
     from spinbath.spectra import EigensolverError
 
-    solved, real_eigenvalues, real_diagonalize = [], cli.sp.eigenvalues_only, cli.sp.diagonalize
+    solved, real_eigenvalues, real_diagonalize = [], cli.sp._band_eigenvalues, cli.sp.diagonalize
 
     def eigenvalues(op):
         two_j = op.dim - 1
@@ -504,7 +526,7 @@ def test_scaling_reports_the_first_failing_task_in_config_order(capsys, monkeypa
             raise EigensolverError("eigenvectors failed", two_j=12, M=0)
         return real_diagonalize(op, bound, **ahead)
 
-    monkeypatch.setattr(cli.sp, "eigenvalues_only", eigenvalues)
+    monkeypatch.setattr(cli.sp, "_band_eigenvalues", eigenvalues)
     argv = ["scaling", "--two-j", "8 12 16 20 24 28", "--p", "0.5"]
     monkeypatch.setattr(cli.sp, "diagonalize", diagonalize)
     assert main(argv + ["--out", str(tmp_path / "a")]) == 1

@@ -6,7 +6,7 @@ import pytest
 from spinbath import closed_forms as cf
 from spinbath.liouvillian import build_sector
 from spinbath.model import ModelParams
-from spinbath.spectra import diagonalize, eigenvalues_only, kernel_dimension
+from spinbath.spectra import _band_scale, diagonalize, eigenvalues_only, kernel_dimension
 from spinbath.verification import multiset_match_error
 
 
@@ -72,7 +72,7 @@ def test_triangular_eigenvector_residuals():
             vec = cf.triangular_eigenvector(params, m_label, M)
             lam = cf.triangular_eigenvalue(params, m_label, M)
             res = np.linalg.norm(op.matvec(vec) - lam * vec)
-            assert res <= 1e-9 * op.scale() * np.linalg.norm(vec)
+            assert res <= 1e-9 * _band_scale(op) * np.linalg.norm(vec)
 
 
 def test_triangular_eigenvector_steady_state():
@@ -292,7 +292,7 @@ def test_thermal_ss_null_vector():
     params = ModelParams(two_j=40, p=0.3, gamma0=0.7)
     op = build_sector(params, 0)
     vec = cf.thermal_ss(params).coefficients.astype(complex)
-    assert np.linalg.norm(op.matvec(vec)) <= 1e-12 * op.scale()
+    assert np.linalg.norm(op.matvec(vec)) <= 1e-12 * _band_scale(op)
 
 
 def test_thermal_ss_beta_partition_function():
@@ -369,3 +369,16 @@ def test_ep_halflife_solves_the_envelope_to_rounding():
             root = mpmath.findroot(lambda s: (1 + s) * mpmath.exp(lam * s) - mpmath.mpf(1) / 2, t)
             assert abs(t - root) <= 1e-15 * root
     assert cf.ep_halflife(-1e-308, True) == math.inf  # the root lies past the double range
+
+
+@pytest.mark.parametrize("p", [1.0, -1.0])
+@pytest.mark.parametrize("gamma0", [0.0, 0.7])
+def test_triangular_table_is_the_per_label_eigenvalue(p, gamma0):
+    # triangular_solution evaluates the whole table as one array expression: bitwise the scalar
+    # triangular_eigenvalue of each label, in every sector
+    for two_j in range(1, 81):
+        params = ModelParams(two_j=two_j, p=p, gamma0=gamma0, h=1.3)
+        for M in range(-two_j, two_j + 1):
+            tri = cf.triangular_solution(params, M)
+            per_label = np.array([cf.triangular_eigenvalue(params, m, M) for m in tri.m_labels])
+            assert tri.eigenvalues.tobytes() == per_label.tobytes()

@@ -126,6 +126,30 @@ def test_propagate_chooses_banded_pade_on_short_horizons(monkeypatch, grid, n_ex
     assert len(calls) == n_expm
 
 
+def test_substeps_do_not_depend_on_the_field(monkeypatch):
+    # e^{i h M t} is applied after the real bands are exponentiated, so h must not size their
+    # substeps: a norm that held |h*M| gave every sector M != 0 more substeps at h = 1e4
+    calls = []
+    pade, expm = dyn._pade13_band, dyn.expm
+
+    def counting_pade(op, tau):
+        calls.append(("pade", op.sector.M, tau))
+        return pade(op, tau)
+
+    def counting_expm(A):
+        calls.append(("expm", A.shape, float(np.abs(A).max())))
+        return expm(A)
+
+    monkeypatch.setattr(dyn, "_pade13_band", counting_pade)
+    monkeypatch.setattr(dyn, "expm", counting_expm)
+    runs = []
+    for h in (1.0, 1e4):
+        calls.clear()
+        dyn.propagate(ModelParams(two_j=80, p=0.5, h=h), dyn.coherent_state(80, 1.2, 0.3), parse_time_grid("lin:0:3:61"))
+        runs.append(list(calls))
+    assert runs[0] and runs[0] == runs[1]
+
+
 def expm_substepped(A):
     """exp(A) as expm(A / k)^k with ||A / k||_1 <= 1.
 

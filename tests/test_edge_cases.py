@@ -77,6 +77,6 @@ def test_scalar_liouville_space():
     op = build_sector(params, 1)
     assert op.dim == 1
     dec = sp.diagonalize(op)
-    assert dec.eigenvalues[0] == pytest.approx(op.diag[0] + 1j * op.shift)
+    assert dec.eigenvalues[0] == pytest.approx(op.diag[0] + op.shift)
     dos = sp.density_of_states(dec, 1)
     assert dos.n_eigenvalues == 1

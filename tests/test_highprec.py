@@ -144,7 +144,7 @@ def test_propagate_against_highprec(p, gamma0, grid):
 
 
 def _mp_sector_states(op, v0, ts):
-    """exp(t L_M) v0 at every t of ts, in mpmath: e^{i h M t} times exp(t R_M) v0.
+    """exp(t L_M) v0 at every t of ts, in mpmath: e^{c_M t} times exp(t R_M) v0, c_M the shift.
 
     exp(t R_M) is a Taylor series in the real tridiagonal R_M, stepped from
     one output time to the next and summed until its terms fall below 1e-25.
@@ -170,7 +170,7 @@ def _mp_sector_states(op, v0, ts):
                 term = [x * dt / k for x in matvec(term)]
                 v = [a + b for a, b in zip(v, term)]
             cols[c] = v
-        phase = mp.expj(mpf(float(op.shift)) * t_prev)
+        phase = mp.exp(mpc(op.shift.real, op.shift.imag) * t_prev)
         states.append(np.array([complex(phase * mpc(a, b)) for a, b in zip(*cols)]))
     return states
 

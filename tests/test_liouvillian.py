@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from spinbath.closed_forms import o3_eigenvalue
-from spinbath.liouvillian import build_bruteforce, build_sector, gamma0_shift_check
+from spinbath import spectra as sp
+from spinbath.liouvillian import build_bruteforce, build_sector
 from spinbath.model import ModelParams, ladder_coeff
 from spinbath.verification import multiset_match_error
 
@@ -22,12 +23,13 @@ def test_sector_diag_p1_j1():
 
 def test_sector_weak_symmetry_phase():
     op = build_sector(ModelParams(two_j=2, h=1.0, gamma=1.0, p=0.0), 1)
-    assert op.shift == 1.0
+    assert op.shift == 1j
     assert np.allclose(np.diagonal(op.to_dense()).imag, 1.0, atol=1e-14)
-    # real float64 bands; the phase h*M is the one scalar shift, also for h < 0 and M < 0
+    # real float64 bands; the phase i*h*M is the imaginary part of the one complex shift, also for
+    # h < 0 and M < 0
     op = build_sector(ModelParams(two_j=7, h=-0.7, gamma=1.3, p=0.4), -3)
     assert [a.dtype for a in (op.diag, op.upper, op.lower)] == [np.float64] * 3
-    assert op.shift == -0.7 * -3
+    assert op.shift == 1j * (-0.7 * -3)
 
 
 def test_corner_sector_is_scalar():
@@ -38,11 +40,17 @@ def test_corner_sector_is_scalar():
 
 @pytest.mark.parametrize("two_j", [1, 2, 7, 20, 81])
 def test_bands_from_ladder_tables_are_per_sector_coefficients(two_j):
-    # slices of the per-size ladder tables against ladder_coeff at the sector's own m values
+    # slices of the per-size ladder tables against ladder_coeff at the sector's own m values;
+    # sector -M has the bands of sector M, bitwise
     params = ModelParams(two_j=two_j, h=0.9, gamma=1.3, gamma0=0.4, p=0.37)
     j, G, p = params.j, params.gamma, params.p
     for M in range(-two_j, two_j + 1):
         op = build_sector(params, M)
+        if M < 0:
+            mirror = build_sector(params, -M)
+            assert all(a.tobytes() == b.tobytes() for a, b in zip((op.diag, op.upper, op.lower),
+                                                                  (mirror.diag, mirror.upper, mirror.lower)))
+            continue
         ms = op.sector.m_values()
         up, dn = ms[:-1], ms[1:]
         upper = (G / j) * (1 - p) / 2 * ladder_coeff(j, up, "raise") * ladder_coeff(j, up - M, "raise")
@@ -129,8 +137,8 @@ def test_bruteforce_size_guard():
 
 
 def test_gamma0_shift_values():
-    assert gamma0_shift_check(ModelParams(two_j=4, gamma0=0.0), 5) == 0.0
-    assert gamma0_shift_check(ModelParams(two_j=20, gamma0=1.0), 2) == pytest.approx(-0.2, abs=1e-15)
+    assert build_sector(ModelParams(two_j=4, gamma0=0.0), 3).shift.real == 0.0
+    assert build_sector(ModelParams(two_j=20, gamma0=1.0), 2).shift.real == pytest.approx(-0.2, abs=1e-15)
 
 
 def test_gamma0_shifts_spectra_uniformly():
@@ -139,7 +147,7 @@ def test_gamma0_shifts_spectra_uniformly():
     for M in (0, 2, -3):
         w0 = np.linalg.eigvals(build_sector(base, M).to_dense())
         w1 = np.linalg.eigvals(build_sector(shifted, M).to_dense())
-        err = multiset_match_error(w1, w0 + gamma0_shift_check(shifted, M))
+        err = multiset_match_error(w1, w0 + build_sector(shifted, M).shift.real)
         assert err < 1e-10
 
 
@@ -150,18 +158,19 @@ def test_trace_preservation_columns():
         col = op.diag.copy()
         col[:-1] += op.upper
         col[1:] += op.lower
-        assert np.abs(col).max() < 1e-12 * op.scale()
+        assert np.abs(col).max() < 1e-12 * sp._band_scale(op)
 
 
 def test_hermiticity_covariance_bands():
+    # sector -M is the complex conjugate of sector M: the same bands and spectrum, bit for bit
     params = ModelParams(two_j=9, h=0.9, gamma=1.1, gamma0=0.3, p=-0.45)
     for M in (1, 4, 9):
         a = build_sector(params, M)
         b = build_sector(params, -M)
-        assert np.allclose(b.diag, a.diag, atol=1e-14)
-        assert np.allclose(b.upper, a.upper, atol=1e-14)
-        assert np.allclose(b.lower, a.lower, atol=1e-14)
-        assert b.shift == -a.shift
+        for band in ("diag", "upper", "lower"):
+            assert getattr(b, band).tobytes() == getattr(a, band).tobytes()
+        assert b.shift == a.shift.conjugate()
+        assert sp.eigenvalues_only(b).tobytes() == np.conj(sp.eigenvalues_only(a)).tobytes()
 
 
 def test_matvec_agrees_with_dense():

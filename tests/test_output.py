@@ -4,6 +4,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -33,6 +34,14 @@ def test_svg_scatter_one_circle_per_point(tmp_path):
     assert cx_cy[0] == ("48.00", "389.33") and cx_cy[2] == ("410.67", "48.00") and cx_cy[-1] == ("592.00", "432.00")
     assert tags(path, "polyline") == []
     assert len(legend(path)) == len(GROUPS)
+
+
+@pytest.mark.parametrize("x", [0.5, -5e16, 5e16, 1e308])
+def test_svg_axis_without_spread_keeps_a_scale(tmp_path, x):
+    # every point at one x: the axis runs from x up by max(1, |x|), where x + 1 alone rounds to x
+    # from 2^53 on (0 / 0 is a RuntimeWarning, an error here); the points sit on the left edge
+    path = svg_scatter(str(tmp_path / "s.svg"), [("a", [x, x], [1.0, 2.0])])
+    assert [re.search(r'cx="([^"]*)"', t).group(1) for t in tags(path, "circle")] == ["48.00", "48.00"]
 
 
 def test_svg_lines_one_polyline_per_group(tmp_path):

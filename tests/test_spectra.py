@@ -11,6 +11,7 @@ from scipy.linalg import eigvalsh_tridiagonal
 from scipy.linalg.lapack import dgtsv, dstevd
 from scipy.optimize import linear_sum_assignment
 
+from spinbath import closed_forms as cf
 from spinbath import liouvillian
 from spinbath import spectra as sp
 from spinbath.liouvillian import SectorOperator, build_sector
@@ -39,7 +40,7 @@ def test_scalar_sector():
     dec = sp.diagonalize(op)
     assert dec.dim == 1
     assert dec.right_eigenvectors.dtype == np.float64
-    assert dec.eigenvalues[0] == pytest.approx(op.diag[0] + 1j * op.shift)
+    assert dec.eigenvalues[0] == pytest.approx(op.diag[0] + op.shift)
 
 
 def test_ordering_descending_real():
@@ -65,16 +66,34 @@ def test_residual_invariant():
 @pytest.mark.parametrize("p", [0.5, 0.99])
 def test_decomposition_does_not_depend_on_the_field(p):
     # the shift h*M cancels from every real solve and from the scale the solves divide by, so real
-    # parts, eigenvectors, residuals and d_N keep their bits for any h (when the solves divided by
-    # a scale that held |h*M|, d_N moved by 0.88 at h = 1e200, M = 10)
+    # parts, eigenvectors, residuals, d_N and the operator scale keep their bits for any h (when the
+    # solves divided by a scale that held |h*M|, d_N moved by 0.88 at h = 1e200, M = 10)
     for M in (0, 3, 10):
         base = dec_for(40, p, M, h=0.0)
         for h in (1.0, 1e100, 1e200, 1e300):
-            dec = dec_for(40, p, M, h=h)
+            op = build_sector(ModelParams(two_j=40, p=p, h=h), M)
+            dec = sp.diagonalize(op)
             for a, b in ((dec.eigenvalues.real, base.eigenvalues.real),
                          (dec.right_eigenvectors, base.right_eigenvectors),
                          (dec.residual_norms, base.residual_norms), (dec.distances, base.distances)):
                 assert a.tobytes() == b.tobytes()
+            assert dec.operator_scale == base.operator_scale == sp._band_scale(op)
+
+
+@pytest.mark.parametrize("two_j,M", [(4, -3), (4, 2), (40, -10), (40, 3), (40, 10)])
+def test_decomposition_does_not_depend_on_dephasing(two_j, M):
+    # -gamma0 M^2/(2j) is the real part of the shift and enters no solve, so eigenvectors, residuals
+    # and d_N keep their bits at any gamma0; folded into the diagonal, it rounded every diagonal entry
+    # of sector 2 at 2j = 4 to one value at gamma0 = 1e17: three equal eigenvalues and d_N = [0, 0],
+    # false exceptional points
+    base = dec_for(two_j, 0.5, M)
+    for gamma0 in (1e8, 1e17, 1e300):
+        op = build_sector(ModelParams(two_j=two_j, p=0.5, gamma0=gamma0), M)
+        dec = sp.diagonalize(op)
+        for a, b in ((dec.right_eigenvectors, base.right_eigenvectors),
+                     (dec.residual_norms, base.residual_norms), (dec.distances, base.distances)):
+            assert a.tobytes() == b.tobytes()
+        assert dec.eigenvalues.tobytes() == (base.eigenvalues + op.shift.real).tobytes()
 
 
 @pytest.mark.parametrize("p", [0.5, 0.99])
@@ -104,12 +123,14 @@ def test_band_scale_is_the_least_power_of_two_above_the_bands():
     # build_sector makes entries above 2^1023, and 2^1024 is no double
     op = build_sector(ModelParams(two_j=3, p=0.99, gamma=4e307), 0)
     assert np.abs(op.diag).max() > 2.0**1023 and sp._band_scale(op) == 2.0**1023
+    assert sp.diagonalize(op).operator_scale == 2.0**1023  # a band sum would overflow
 
 
 def test_coupling_far_below_the_diagonal_is_underflow():
-    # at gamma0 = 1e300 the couplings of sector -3 lie 1e300 below its diagonal: their scaled square
-    # underflows, which is an error rather than a coupling of 0
-    op = build_sector(ModelParams(two_j=4, p=0.5, gamma0=1e300), -3)
+    # couplings 1e-160 of the diagonal: their scaled square underflows, which is an error rather
+    # than a coupling of 0
+    op = SectorOperator(sector=sector_basis(ModelParams(two_j=4), -3), diag=np.array([-1.0, -2.0]),
+                        upper=np.array([1e-160]), lower=np.array([1e-160]), shift=0j)
     with pytest.raises(sp.EigensolverError, match=r"underflows the double range \(two_j=4, M=-3\)"):
         sp.eigenvalues_only(op)
 
@@ -188,11 +209,11 @@ def reference_decomposition(op):
     """
     prod = op.upper * op.lower
     w = eigvalsh_tridiagonal(op.diag, np.sqrt(prod))[::-1] if np.all(prod > 0) else np.sort(op.diag)[::-1]
-    w = w + 1j * op.shift
+    w = w + op.shift
     V = np.ones((1, 1)) if op.dim == 1 else per_column_eigenvectors(op, lams=w)
     residuals = np.linalg.norm(op.matvec(V) - V * w, axis=0)
     distances = np.clip(1.0 - np.abs(np.sum(V[:, 1:].conj() * V[:, :-1], axis=0)), 0.0, 1.0)
-    return w, V, residuals, distances, op.scale()
+    return w, V, residuals, distances, sp._band_scale(op)
 
 
 @pytest.mark.parametrize("two_j", [1, 2, 7, 20, 80, 320])
@@ -327,7 +348,7 @@ def test_bounded_diagonalize_guards(monkeypatch):
     def no_solve(op):
         raise AssertionError("solved before the bound was checked")
 
-    monkeypatch.setattr(sp, "eigenvalues_only", no_solve)
+    monkeypatch.setattr(sp, "_band_eigenvalues", no_solve)
     for bound in (0.0, 1.0, float("nan")):
         with pytest.raises(ValueError, match=r"must lie in \(0, 1\)"):
             sp.diagonalize(op, bound=bound)
@@ -356,7 +377,7 @@ def test_walk_adds_only_new_distances(monkeypatch, two_j, p):
     # each block appends the distances of its own pairs; every list the stopping rule reads, and the
     # eigenvectors, are bitwise those of the walk that recomputed every distance after each block
     op = build_sector(ModelParams(two_j=two_j, p=p), 0)
-    w, scale = sp.eigenvalues_only(op), sp._band_scale(op)
+    w, scale = sp.eigenvalues_only(op).real, sp._band_scale(op)
     seen, first_open = [], sp._first_open_doublet
 
     def reading(d, bound):
@@ -501,14 +522,14 @@ def test_diagonalize_each_helper_leaves_the_callers_cpu(monkeypatch):
     allowed = os.sched_getaffinity(0)
     assert len(sp._other_cpus()) == len(allowed) - 1 and sp._other_cpus() < allowed
     target = {max(allowed)}
-    seen, real = [], sp.eigenvalues_only
+    seen, real = [], sp._band_eigenvalues
 
     def eigenvalues(op):
         seen.append(os.sched_getaffinity(0))
         return real(op)
 
     monkeypatch.setattr(sp, "_other_cpus", lambda: target)
-    monkeypatch.setattr(sp, "eigenvalues_only", eigenvalues)
+    monkeypatch.setattr(sp, "_band_eigenvalues", eigenvalues)
     ops = [build_sector(ModelParams(two_j=two_j, p=0.5), 0) for two_j in (8, 12)]
     assert len(list(sp.diagonalize_each(ops))) == 2
     assert seen == [target, target]
@@ -518,7 +539,7 @@ def test_diagonalize_each_helper_leaves_the_callers_cpu(monkeypatch):
 def test_diagonalize_each_raises_failures_in_order(monkeypatch):
     # a failure to build an operator comes after the failures of the operators before it, and no
     # eigenvalue solve starts after the first failure
-    solved, real = [], sp.eigenvalues_only
+    solved, real = [], sp._band_eigenvalues
 
     def eigenvalues(op):
         solved.append(op.dim)
@@ -532,7 +553,7 @@ def test_diagonalize_each_raises_failures_in_order(monkeypatch):
                 raise ValueError(f"cannot build 2j={two_j}")
             yield build_sector(ModelParams(two_j=two_j, p=0.5), 0)
 
-    monkeypatch.setattr(sp, "eigenvalues_only", eigenvalues)
+    monkeypatch.setattr(sp, "_band_eigenvalues", eigenvalues)
     done = []
     with pytest.raises(sp.EigensolverError, match="no spectrum"):
         for dec in sp.diagonalize_each(ops([8, 10, 12, 14, 16, 18], broken=14), 1e-4):
@@ -665,7 +686,8 @@ def test_ep_scan_precursor_near_critical_value():
     dec = dec_for(320, 0.5)
     res = sp.ep_scan(dec, 1e-4)
     assert res.precursor is not None
-    rel = abs(res.precursor.real / 160 - (-0.133975)) / 0.133975
+    lc = cf.critical_value_per_j(0.5, 1.0)
+    rel = abs(res.precursor.real / 160 - lc) / abs(lc)
     assert rel < 0.10
 
 
@@ -734,7 +756,8 @@ def test_density_of_states_flat_at_p0():
 def test_density_of_states_peak_near_critical():
     dec = dec_for(640, 0.5)
     dos = sp.density_of_states(dec, 640, bins=64)
-    assert abs(dos.peak_location - (-0.133975)) / 0.133975 < 0.10
+    lc = cf.critical_value_per_j(0.5, 1.0)
+    assert abs(dos.peak_location - lc) / abs(lc) < 0.10
 
 
 def test_density_of_states_single_eigenvalue():
@@ -773,7 +796,7 @@ def test_triangular_spectrum_equals_diagonal():
     for p in (1.0, -1.0):
         op = build_sector(ModelParams(two_j=24, p=p), -3)
         dec = sp.diagonalize(op)
-        assert multiset_match_error(dec.eigenvalues, op.diag + 1j * op.shift) < 1e-9
+        assert multiset_match_error(dec.eigenvalues, op.diag + op.shift) < 1e-9
 
 
 def test_kernel_dimension_at_doublet():
