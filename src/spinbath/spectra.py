@@ -6,15 +6,17 @@ bands are diagonally similar to a real symmetric tridiagonal matrix, so the
 spectrum is {band eigenvalue + shift} exactly, the band eigenvalues fully
 converged from one LAPACK dstevd call per sector.  It goes through ctypes,
 which releases the interpreter lock (scipy's wrapper of the same routine
-holds it), so diagonalize_each runs the eigenvalue solves of the sectors
-ahead on one helper thread while the calling thread computes eigenvectors.
+holds it), so diagonalize_each runs the eigenvalue solves of its sectors in
+order on one helper thread while the calling thread computes eigenvectors.
 The shift cancels from L - lambda, the real bands minus the band eigenvalue,
 so each eigenvector is one real LAPACK tridiagonal solve (dgtsv, one call per
 block of eigenvalues): a single inverse-iteration step from a fixed start
-vector, cached read-only per dimension.  The coupling, the solves and the
-residuals ||(L - lambda) v|| read the bands and the band eigenvalues (never
-lambda minus a shift that may dwarf them) divided by one power of two per
-sector (_band_scale, also its operator_scale): no bit changes where the
+vector, cached read-only per dimension.  _inverse_iteration is the one loop
+over these blocks: each is normalised and appends the d_N of its new pairs,
+and with a bound the loop stops at the precursor.  The coupling, the solves
+and the residuals ||(L - lambda) v|| read the bands and the band eigenvalues
+(never lambda minus a shift that may dwarf them) divided by one power of two
+per sector (_band_scale, also its operator_scale): no bit changes where the
 unscaled arithmetic stays in the double range, it stays there at any rate,
 and eigenvectors and d_N depend on neither gamma0 nor h.
 Near a coalesced pair both solves land on the common direction, which is
@@ -30,13 +32,12 @@ the same two functions to stop solving at the first open doublet.
 
 from __future__ import annotations
 
-import collections
 import ctypes
 import itertools
 import math
 import os
 import threading
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -76,15 +77,6 @@ _INV_ITER_SEED = 12345
 
 # start vectors kept, one per sector dimension (a 2j sweep uses 2j + 1 of them)
 _START_CACHE = 256
-
-# a bounded diagonalize solves this many columns first; each later block doubles the total
-_FIRST_BLOCK = 64
-
-# eigenvalue solves diagonalize_each runs ahead of the eigenvectors, each holding one operator and
-# its spectrum.  Sweeps go up in 2j, so the largest sector's solve has to overlap the eigenvectors
-# of several smaller sectors: the 12 sectors of the scan benchmark took 0.21 s with one solve
-# ahead, 0.17 s with four and 0.16 s with eight, against 0.23 s in one thread (2 CPUs)
-_LOOKAHEAD = 8
 
 # size cap (columns x dim) of one batched dgtsv system, so memory stays flat for any sector
 _SOLVE_ELEMENTS = 2**16
@@ -134,17 +126,6 @@ class SpectralDecomposition:
     @property
     def dim(self) -> int:
         return len(self.eigenvalues)
-
-    def near_defective_pairs(self, condition_bound: float = 1e8) -> list[int]:
-        """Indices N whose pair (N, N+1) has overlap condition above the bound.
-
-        Needs every eigenvector: a decomposition built with a bound raises ValueError.
-        """
-        if self.right_eigenvectors.shape[1] < self.dim:
-            raise ValueError(f"near_defective_pairs needs all {self.dim} eigenvectors, "
-                             f"got {self.right_eigenvectors.shape[1]}")
-        d = pair_distances(self)
-        return [int(N) for N in range(len(d)) if 1.0 / max(d[N], 1e-300) > condition_bound]
 
 
 @dataclass(frozen=True)
@@ -286,8 +267,9 @@ def _start_vector(n: int) -> np.ndarray:
     return b
 
 
-def _inverse_iteration(op: SectorOperator, lams: np.ndarray, scale: float) -> np.ndarray:
-    """Real unit right eigenvectors, one LAPACK tridiagonal solve per block of eigenvalues.
+def _inverse_iteration(op: SectorOperator, lams: np.ndarray, scale: float,
+                       bound: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Real unit right eigenvectors and their d_N, one LAPACK tridiagonal solve per block of eigenvalues.
 
     lams are band eigenvalues: the shift cancels, L - lambda is the real bands
     minus lam, and the eigenvectors are real.
@@ -303,92 +285,95 @@ def _inverse_iteration(op: SectorOperator, lams: np.ndarray, scale: float) -> np
     once more, alone, with its diagonal nudged by 1e-13 (relative to the
     scale), and the columns after it start a smaller block, so dgtsv sees at
     most 4 * dim * len(lams) rows even where every shift is singular
-    (p = +-1); a second singular pivot in that column, or a column that
-    overflows or vanishes, raises EigensolverError.  Its count covers only the
-    eigenvalues lams passed in, and an overflow at the end of one copy turns
-    the next copy into NaN (0 * inf), so it can exceed the columns that
-    overflow on their own.  A bounded diagonalize passes one block at a time,
-    so at 2j = 1280, M = 0 it reports 103 columns at p = 0.9 and 154 at
-    p = 0.99, where a full one reports 380 and 864.
+    (p = +-1); a second singular pivot in that column raises EigensolverError.
+    Each block is normalised in its own storage and appends the d_N of its
+    new pairs, so no column or distance is computed twice, and the blocks are
+    joined once, at the end.
+    A block with a column that overflows or vanishes is solved again one
+    column at a time, because an overflow in one copy turns its neighbours
+    in the block into NaN (0 * inf across the zero coupling), and the first
+    column that fails on its own is raised as EigensolverError: at 2j = 1280,
+    M = 0 that is eigenvalue 431 at p = 0.9 and 400 at p = 0.99, whatever the
+    block size or bound.  With a bound in (0, 1) the solve stops after the
+    block that holds the first open doublet at that bound and its precursor
+    (see ep_scan); the leading columns returned are bitwise those of the full
+    solve.
     """
-    n = op.dim
+    n, N = op.dim, len(lams)
     b = _start_vector(n)
     diag, lam = op.diag / scale, lams / scale
-    k = max(1, min(len(lams), _SOLVE_ELEMENTS // n))
+    k = max(1, min(N, _SOLVE_ELEMENTS // n))
     # k copies of each off-diagonal band, each closed by a zero coupling to the next copy;
     # dgtsv takes the sub-, main and superdiagonal, and op.upper lies below the diagonal
-    sub, sup = (np.tile(np.append(band / scale, 0.0), k)[:-1] for band in (op.upper, op.lower))
+    sub, sup = (np.tile(np.append(band / scale, 0.0), k) for band in (op.upper, op.lower))
     rhs = np.tile(b, k)[:, None]
 
     def solve(d):
-        return dgtsv(sub[: d.size - 1], d, sup[: d.size - 1], rhs[: d.size])[3:]
+        # scipy's dgtsv wants an off-diagonal entry even for one row: there it passes the closing 0
+        e = max(d.size - 1, 1)
+        return dgtsv(sub[:e], d, sup[:e], rhs[: d.size])[3:]
 
-    V = np.empty((n, len(lams)))
-    start, m = 0, k
-    while start < len(lam):
-        m = min(m, len(lam) - start)
-        d = (diag - lam[start : start + m, None]).ravel()
-        x, info = solve(d)
-        if info == 0:
-            V[:, start : start + m] = x[:, 0].reshape(m, n).T
-            start, m = start + m, min(2 * m, k)
-            continue
-        # exactly singular shift in column c: the columns before it passed elimination, so they are
-        # solved again as one block (same bits), then column c alone, nudged off its eigenvalue
-        c = (info - 1) // n
-        if c:
-            x, _ = solve(d[: c * n])
-            V[:, start : start + c] = x[:, 0].reshape(c, n).T
-        x, info = solve(d[c * n : (c + 1) * n] + 1e-13)
+    def nudged(c, d):
+        x, info = solve(d + 1e-13)
         if info > 0:
-            raise _sector_error(f"singular shift at eigenvalue {start + c}", op.sector)
-        V[:, start + c] = x[:, 0]
-        # the next block holds at most twice the columns just solved, and doubles after each
-        # clean solve: a failed call never copies more than twice the columns of the step before
-        start, m = start + c + 1, min(2 * (c + 1), k)
-    hi, lo = V.max(axis=0), -V.min(axis=0)
-    mx = np.maximum(hi, lo)
-    bad = ~np.isfinite(mx) | (mx == 0.0)
-    if bad.any():
-        raise _sector_error(f"{int(bad.sum())} eigenvector solves overflowed or vanished", op.sector)
-    # largest component of each column becomes +1, then unit 2-norm
-    V *= np.where(hi >= lo, 1.0, -1.0) / mx
-    V /= np.sqrt(np.einsum("ij,ij->j", V, V))
-    return V
+            raise _sector_error(f"singular shift at eigenvalue {c}", op.sector)
+        return x[:, 0]
+
+    def fails_alone(c):
+        x, info = solve(diag - lam[c])
+        x = nudged(c, diag - lam[c]) if info > 0 else x[:, 0]
+        return not (np.isfinite(x).all() and x.any())
+
+    blocks, d = [], np.empty(0)
+    start, m = 0, k
+    while start < N:
+        m = min(m, N - start)
+        shifted = (diag - lam[start : start + m, None]).ravel()
+        x, info = solve(shifted)
+        if info == 0:
+            cols, m = x[:, 0].reshape(m, n), min(2 * m, k)
+        else:
+            # exactly singular shift in column c: the columns before it passed elimination, so they
+            # are solved again as one block (same bits), then column c alone, nudged off its eigenvalue
+            c = (info - 1) // n
+            cols = np.empty((c + 1, n))
+            if c:
+                cols[:c] = solve(shifted[: c * n])[0][:, 0].reshape(c, n)
+            cols[c] = nudged(start + c, shifted[c * n : (c + 1) * n])
+            # the next block holds at most twice the columns just solved, and doubles after each
+            # clean solve: a failed call never copies more than twice the columns of the step before
+            m = min(2 * (c + 1), k)
+        stop = start + len(cols)
+        # a block is stored after the last column of the block before, for the pair across them, in
+        # at least two columns: numpy sums a contiguous (n, 1) array in another order than a view
+        prev = 1 if blocks else 0
+        storage = np.empty((n, max(prev + len(cols), 2)))
+        if prev:
+            storage[:, 0] = blocks[-1][:, -1]
+        block = storage[:, prev : prev + len(cols)]
+        block[...] = cols.T
+        hi, lo = block.max(axis=0), -block.min(axis=0)
+        mx = np.maximum(hi, lo)
+        bad = ~np.isfinite(mx) | (mx == 0.0)
+        if bad.any():
+            # elimination rules out the default: a column spoilt by a neighbour has one that fails alone
+            c = next((c for c in range(start, stop) if fails_alone(c)), start + int(np.argmax(bad)))
+            raise _sector_error(f"eigenvector solve overflowed or vanished at eigenvalue {c}", op.sector)
+        # largest component of each column becomes +1, then unit 2-norm
+        block *= np.where(hi >= lo, 1.0, -1.0) / mx
+        block /= np.sqrt(np.einsum("ij,ij->j", block, block))
+        d = np.concatenate([d, _distances(storage[:, : prev + len(cols)])])
+        blocks.append(block)
+        start = stop
+        if bound is not None and _first_open_doublet(d, bound) + 1 < stop:
+            break
+    return (blocks[0] if len(blocks) == 1 else np.hstack(blocks)), d
 
 
 def check_bound(bound: float) -> None:
     """The one domain of a coalescence bound: ValueError unless 0 < bound < 1 (so also for NaN)."""
     if not 0 < bound < 1:
         raise ValueError(f"coalescence bound must lie in (0, 1), got {bound}")
-
-
-def _eigenvectors_to_precursor(op: SectorOperator, w: np.ndarray, bound: float,
-                               scale: float) -> tuple[np.ndarray, np.ndarray]:
-    """Leading columns of _inverse_iteration(op, w, scale), down to the precursor at bound, and their d_N.
-
-    Blocks of columns are solved and appended (the first _FIRST_BLOCK, then
-    doubling the total) until the first open doublet at bound and the
-    precursor after it are in, or every column is.  No solve couples two
-    columns, so each column is bitwise the column of the full solve.  Each
-    block adds only the distances of its new pairs, bitwise the entries of
-    _distances over all columns: a block has at least 2 columns, so each sum
-    runs down the rows of a 2-D array, in one order for any width.  (Joining
-    the blocks once, at the end, saved no measurable time and raised scan's
-    peak memory by 2 MB.)
-    """
-    n = op.dim
-    V, d = np.empty((n, 0)), np.empty(0)
-    while V.shape[1] < n:
-        k = V.shape[1]
-        stop = min(max(_FIRST_BLOCK, 2 * k), n)
-        if stop == n - 1:
-            stop = n  # a one-column block is normalised by another summation order: take it along
-        V = np.hstack([V, _inverse_iteration(op, w[k:stop], scale)])
-        d = np.concatenate([d, _distances(V[:, max(k - 1, 0) :])])
-        if _first_open_doublet(d, bound) + 1 < stop:
-            break
-    return V, d
 
 
 def diagonalize(op: SectorOperator, bound: float | None = None, *, _eigenvalues=None) -> SpectralDecomposition:
@@ -407,13 +392,7 @@ def diagonalize(op: SectorOperator, bound: float | None = None, *, _eigenvalues=
         check_bound(bound)
     w = _band_eigenvalues(op) if _eigenvalues is None else _eigenvalues
     scale = _band_scale(op)
-    d = None  # the decomposition computes the distances of a full solve
-    if op.dim == 1:
-        V = np.ones((1, 1))
-    elif bound is None:
-        V = _inverse_iteration(op, w, scale)
-    else:
-        V, d = _eigenvectors_to_precursor(op, w, bound, scale)
+    V, d = _inverse_iteration(op, w, scale, bound)
     return SpectralDecomposition(
         sector=op.sector,
         eigenvalues=w + op.shift,
@@ -452,50 +431,30 @@ def _move_to(cpus: set) -> None:
 def diagonalize_each(ops, bound: float | None = None):
     """diagonalize(op, bound) for each operator of the iterable ops, yielded in order.
 
-    One helper thread computes the band eigenvalues of the operators ahead, up
-    to _LOOKAHEAD of them, while the calling thread computes the eigenvectors
-    of the current one; the LAPACK call of _band_eigenvalues releases the
-    interpreter lock, so the two run at once on two CPUs.  Everything else,
-    building the operators of ops included, runs on the calling thread.  The
-    first failure in the order of ops is raised as it is, and no eigenvalue
-    solve starts after a failure.
+    Every operator of ops is built first, on the calling thread, so an
+    operator that cannot be built is raised before any solve.  One helper
+    thread then computes the band eigenvalues of the operators in order
+    while the calling thread computes the eigenvectors of the current one;
+    the LAPACK call of _band_eigenvalues releases the interpreter lock, so
+    the two run at once on two CPUs.  The first failure in the order of ops
+    is raised as it is, and no eigenvalue solve starts after a failure.
     """
     if bound is not None:
         check_bound(bound)
-    ops, ahead, halt = iter(ops), collections.deque(), threading.Event()
+    ops, halt = list(ops), threading.Event()
 
     def solve(op):
         if halt.is_set():
-            return None  # an earlier task failed, and its error is the one raised
+            return None  # an earlier solve failed, and its error is the one raised
         try:
             return _band_eigenvalues(op)
         except BaseException:
             halt.set()
             raise
 
-    def queue_next() -> bool:
-        """Build the next operator and queue its solve; False once ops is done or failed."""
-        try:
-            op = next(ops)
-        except StopIteration:
-            return False
-        except Exception as exc:  # raised in its turn, after the tasks before it
-            failed = Future()
-            failed.set_exception(exc)
-            ahead.append((None, failed))
-            return False
-        ahead.append((op, helper.submit(solve, op)))
-        return True
-
     helper = ThreadPoolExecutor(max_workers=1, initializer=_move_to, initargs=(_other_cpus(),))
     try:
-        more = True
-        while more and len(ahead) < _LOOKAHEAD:
-            more = queue_next()
-        while ahead:
-            op, pending = ahead.popleft()
-            w = pending.result()
-            more = more and queue_next()
+        for op, w in zip(ops, helper.map(solve, ops)):
             yield diagonalize(op, bound, _eigenvalues=w)
     finally:
         halt.set()
@@ -526,7 +485,8 @@ def eigenvector_distance(dec: SpectralDecomposition, N: int) -> float:
 
 
 def _distances(V: np.ndarray) -> np.ndarray:
-    ov = np.abs(np.sum(V[:, 1:] * V[:, :-1], axis=0))
+    # einsum forms no n x N product, and gives the same bits for any width of column view
+    ov = np.abs(np.einsum("ij,ij->j", V[:, 1:], V[:, :-1]))
     return np.clip(1.0 - ov, 0.0, 1.0)
 
 

@@ -275,7 +275,7 @@ def test_non_positive_size_is_usage_error(tmp_path, capsys, command, two_j):
 
 def test_scaling_bounded_eigenvectors_give_the_full_bytes(tmp_path, monkeypatch):
     # eigenvectors only down to the deepest precursor must not move a byte of any output;
-    # 2j = 320 is the size whose first 64-column block already holds the precursor
+    # 2j = 320 is the size whose first block (_SOLVE_ELEMENTS // 321 = 204 columns) holds the precursor
     import spinbath.cli as cli
 
     argv = ["scaling", "--two-j", "8 12 16 20 40 320", "--p", "0.2 0.5 0.999", "--gamma-bound", "1e-4 1e-6"]
@@ -289,7 +289,7 @@ def test_scaling_bounded_eigenvectors_give_the_full_bytes(tmp_path, monkeypatch)
 
     monkeypatch.setattr(cli.sp, "diagonalize", counting)
     assert main(argv + ["--out", str(tmp_path / "bounded")]) == 0
-    assert (64, 321) in columns
+    assert (204, 321) in columns
     monkeypatch.setattr(cli.sp, "diagonalize", lambda op, bound=None, **ahead: bounded(op, **ahead))
     assert main(argv + ["--out", str(tmp_path / "full")]) == 0
     names = sorted(os.listdir(tmp_path / "full"))
@@ -498,11 +498,12 @@ def test_eigenvector_overflow_is_one_line_error(capsys, tmp_path):
 
 def test_scaling_eigenvector_overflow_is_the_first_failure_in_order(capsys, tmp_path):
     # the eigenvalues of 2j = 1280 are solved on the helper thread while 2j = 80 is walked; the
-    # walk of 2j = 1280 then overflows, the same line as without the helper, and nothing is written
+    # walk of 2j = 1280 then overflows, the same line as without the helper, and nothing is written;
+    # the line names the first column whose own solve overflows
     out = tmp_path / "out"
     assert main(["scaling", "--two-j", "80 1280", "--p", "0.99", "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert err.splitlines() == ["error: 154 eigenvector solves overflowed or vanished (two_j=1280, M=0)"]
+    assert err.splitlines() == ["error: eigenvector solve overflowed or vanished at eigenvalue 400 (two_j=1280, M=0)"]
     assert not out.exists()
 
 

@@ -303,6 +303,22 @@ def test_eigenvector_overflow_sectors():
                     sp.diagonalize(build_sector(ModelParams(two_j=1280, p=p), M))
 
 
+@pytest.mark.parametrize("elements", [2**12, 2**16, 2**20])
+def test_eigenvector_overflow_names_the_first_column_that_fails_alone(monkeypatch, elements):
+    # an overflow spoils the neighbours of its dgtsv block (0 * inf across the zero coupling), so the
+    # error names the first column whose own solve fails: the same for any block size and bound
+    monkeypatch.setattr(sp, "_SOLVE_ELEMENTS", elements)
+    for p, first in ((0.9, 431), (0.99, 400), (0.999, 398), (1.0, 403)):
+        op = build_sector(ModelParams(two_j=1280, p=p), 0)
+        for bound in (None, 1e-4):
+            with pytest.raises(sp.EigensolverError) as err:
+                sp.diagonalize(op, bound)
+            assert str(err.value) == f"eigenvector solve overflowed or vanished at eigenvalue {first} (two_j=1280, M=0)"
+    with pytest.raises(sp.EigensolverError, match=r"^eigenvector solve overflowed or vanished at eigenvalue 343 "
+                                                  r"\(two_j=2560, M=0\)$"):
+        sp.diagonalize(build_sector(ModelParams(two_j=2560, p=0.7), 0), 1e-4)
+
+
 def test_eigenvector_overflow_raises():
     # at p = 0.999, 2j = 1280 one solve of the resolvent exceeds the double range, for any gamma
     for gamma in (1.0, 2.0**-400, 2.0**400):
@@ -313,11 +329,11 @@ def test_eigenvector_overflow_raises():
 @pytest.mark.parametrize("two_j,p", [(tj, p) for tj in (20, 320, 640) for p in (0.0, 0.5, 0.999)]
                          + [(20, 1.0), (128, 1.0)])
 def test_bounded_diagonalize_is_leading_columns(two_j, p):
-    # solved blocks end at 64, 128, 256, ... and at dim, which also takes a lone last column
-    # (2j = 128); the walk stops at the first block end past the full precursor
+    # solved blocks end at multiples of _SOLVE_ELEMENTS // dim and at dim; the walk stops at the
+    # first block end past the full precursor
     op = build_sector(ModelParams(two_j=two_j, p=p), 0)
     full = sp.diagonalize(op)
-    ends = [e for e in (64, 128, 256, 512) if e < full.dim - 1] + [full.dim]
+    ends = list(range(sp._SOLVE_ELEMENTS // full.dim, full.dim, sp._SOLVE_ELEMENTS // full.dim)) + [full.dim]
     bounds = (0.5, 1e-2, 1e-4, 1e-6, 1e-9, 1e-13)
     for build in bounds:
         dec = sp.diagonalize(op, bound=build)
@@ -337,13 +353,11 @@ def test_bounded_diagonalize_is_leading_columns(two_j, p):
 def test_bounded_diagonalize_guards(monkeypatch):
     op = build_sector(ModelParams(two_j=320, p=0.5), 0)
     dec = sp.diagonalize(op, bound=1e-6)
-    assert dec.right_eigenvectors.shape[1] == 64
-    with pytest.raises(ValueError, match="64 of 321 eigenvectors end before"):
+    assert dec.right_eigenvectors.shape[1] == 204
+    with pytest.raises(ValueError, match="204 of 321 eigenvectors end before"):
         sp.ep_scan(dec, 0.5)  # its first open doublet lies past the computed columns
-    with pytest.raises(ValueError, match="all 321 eigenvectors"):
-        dec.near_defective_pairs()
     with pytest.raises(IndexError):
-        sp.eigenvector_distance(dec, 63)
+        sp.eigenvector_distance(dec, 203)
 
     def no_solve(op):
         raise AssertionError("solved before the bound was checked")
@@ -358,18 +372,14 @@ SCAN_SECTORS = [(two_j, p) for p in (0.3, 0.5, 0.7) for two_j in (80, 320, 640, 
 
 
 def walk_before(op, w, bound, scale):
-    """The eigenvector walk as it was: distances over every column after each block, V re-stacked."""
-    n = op.dim
-    V = np.empty((n, 0))
-    while V.shape[1] < n:
-        k = V.shape[1]
-        stop = min(max(sp._FIRST_BLOCK, 2 * k), n)
-        if stop == n - 1:
-            stop = n
-        V = np.hstack([V, sp._inverse_iteration(op, w[k:stop], scale)])
-        if sp._first_open_doublet(sp._distances(V), bound) + 1 < stop:
+    """The eigenvector walk as the full solve gives it: its leading columns up to the first block end
+    past the precursor, with the distances over every column up to each block end."""
+    V, _ = sp._inverse_iteration(op, w, scale)
+    k = sp._SOLVE_ELEMENTS // op.dim
+    for stop in [*range(k, op.dim, k), op.dim]:
+        if sp._first_open_doublet(sp._distances(V[:, :stop]), bound) + 1 < stop:
             break
-    return V
+    return V[:, :stop]
 
 
 @pytest.mark.parametrize("two_j,p", SCAN_SECTORS)
@@ -385,10 +395,10 @@ def test_walk_adds_only_new_distances(monkeypatch, two_j, p):
         return first_open(d, bound)
 
     monkeypatch.setattr(sp, "_first_open_doublet", reading)
-    V, d_walk = sp._eigenvectors_to_precursor(op, w, 1e-4, scale)
+    V, d_walk = sp._inverse_iteration(op, w, scale, 1e-4)
     monkeypatch.setattr(sp, "_first_open_doublet", first_open)
     before = walk_before(op, w, 1e-4, scale)
-    assert V.flags.c_contiguous and V.tobytes() == before.tobytes()
+    assert V.tobytes() == before.tobytes()
     for d in seen:
         assert d.tobytes() == sp._distances(V[:, : len(d) + 1]).tobytes()
     assert len(seen[-1]) == V.shape[1] - 1
@@ -398,10 +408,11 @@ def test_walk_adds_only_new_distances(monkeypatch, two_j, p):
 
 @pytest.mark.parametrize("two_j,p", SCAN_SECTORS)
 def test_diagonalize_computes_distances_once_per_block(monkeypatch, two_j, p):
-    # a bounded diagonalize hands the walk's distances to the decomposition, which computes none of
-    # its own; they are bitwise the distances over all returned columns, and a full solve computes
-    # its distances once
+    # one _inverse_iteration call per diagonalize walks the blocks and computes the distances of each
+    # block once; the decomposition computes none of its own, and they are bitwise the distances over
+    # all returned columns, with a bound or without
     op = build_sector(ModelParams(two_j=two_j, p=p), 0)
+    k = sp._SOLVE_ELEMENTS // op.dim
     calls = {"_distances": 0, "_inverse_iteration": 0}
 
     def counted(name):
@@ -413,20 +424,29 @@ def test_diagonalize_computes_distances_once_per_block(monkeypatch, two_j, p):
 
         return wrapper
 
-    for name in calls:
-        monkeypatch.setattr(sp, name, counted(name))
-    dec = sp.diagonalize(op, 1e-4)
-    assert calls["_inverse_iteration"] >= 1
-    assert calls["_distances"] == calls["_inverse_iteration"]
-    monkeypatch.undo()
-    assert dec.distances.tobytes() == sp._distances(dec.right_eigenvectors).tobytes()
-    assert not dec.distances.flags.writeable
-    if two_j == 80:
+    for bound in (1e-4, None):
         calls.update(_distances=0, _inverse_iteration=0)
-        monkeypatch.setattr(sp, "_distances", counted("_distances"))
-        full = sp.diagonalize(op)
-        assert calls["_distances"] == 1
-        assert full.distances.tobytes() == sp._distances(full.right_eigenvectors).tobytes()
+        for name in calls:
+            monkeypatch.setattr(sp, name, counted(name))
+        dec = sp.diagonalize(op, bound)
+        monkeypatch.undo()
+        assert calls["_inverse_iteration"] == 1
+        assert calls["_distances"] == -(-dec.right_eigenvectors.shape[1] // k)
+        assert dec.distances.tobytes() == sp._distances(dec.right_eigenvectors).tobytes()
+        assert not dec.distances.flags.writeable
+
+
+@pytest.mark.parametrize("n", [9, 81, 1281])
+def test_distances_of_a_one_pair_slice_are_that_entry(n):
+    # a one-column block appends the distance of the pair across its column from two columns of
+    # storage; it must be the bits of that entry over all columns (numpy sums a lone (n, 1) product
+    # in another order)
+    V = np.random.default_rng(n).standard_normal((n, 7))
+    V /= np.linalg.norm(V, axis=0)
+    full = sp._distances(V)
+    for N in range(6):
+        for pair in (V[:, N : N + 2], V[:, N : N + 2].copy()):
+            assert sp._distances(pair).tobytes() == full[N : N + 1].tobytes()
 
 
 @st.composite
@@ -537,8 +557,8 @@ def test_diagonalize_each_helper_leaves_the_callers_cpu(monkeypatch):
 
 
 def test_diagonalize_each_raises_failures_in_order(monkeypatch):
-    # a failure to build an operator comes after the failures of the operators before it, and no
-    # eigenvalue solve starts after the first failure
+    # every operator is built before any solve, so one that cannot be built is raised first; solve
+    # failures keep the order of ops, and no eigenvalue solve starts after the first failure
     solved, real = [], sp._band_eigenvalues
 
     def eigenvalues(op):
@@ -555,15 +575,14 @@ def test_diagonalize_each_raises_failures_in_order(monkeypatch):
 
     monkeypatch.setattr(sp, "_band_eigenvalues", eigenvalues)
     done = []
-    with pytest.raises(sp.EigensolverError, match="no spectrum"):
+    with pytest.raises(ValueError, match="cannot build 2j=14"):
         for dec in sp.diagonalize_each(ops([8, 10, 12, 14, 16, 18], broken=14), 1e-4):
             done.append(dec.dim)
-    assert done == [9, 11] and solved == [9, 11, 13]
-    done.clear()
-    with pytest.raises(ValueError, match="cannot build 2j=14"):
-        for dec in sp.diagonalize_each(ops([8, 10, 14, 12], broken=14), 1e-4):
+    assert done == [] and solved == []
+    with pytest.raises(sp.EigensolverError, match="no spectrum"):
+        for dec in sp.diagonalize_each(ops([8, 10, 12, 14, 16, 18], broken=None), 1e-4):
             done.append(dec.dim)
-    assert done == [9, 11]
+    assert done == [9, 11] and solved == [9, 11, 13]
     with pytest.raises(ValueError, match=r"must lie in \(0, 1\)"):
         next(sp.diagonalize_each(ops([8], broken=None), 1.0))
 
@@ -810,8 +829,7 @@ def test_kernel_dimension_at_doublet():
 
 def test_near_defective_flagging():
     dec = dec_for(60, 0.5)
-    flagged = dec.near_defective_pairs()
-    assert 1 in flagged  # first doublet is numerically coalesced at j=30
+    assert sp.pair_distances(dec)[1] < 1e-8  # first doublet is numerically coalesced at j=30
 
 
 def test_eigenvalues_only_rejects_mixed_sign_bands():
