@@ -283,10 +283,12 @@ def _inverse_iteration(op: SectorOperator, lams: np.ndarray, scale: float,
     elimination never crosses a copy and each column is bitwise its own solve.
     An exactly singular shift (info > 0 in column (info - 1) // dim) is solved
     once more, alone, with its diagonal nudged by 1e-13 (relative to the
-    scale), and the columns after it start a smaller block, so dgtsv sees at
-    most 4 * dim * len(lams) rows even where every shift is singular
-    (p = +-1); a second singular pivot in that column raises EigensolverError.
-    Each block is normalised in its own storage and appends the d_N of its
+    scale), and the rest of its block is solved on from the next column, in
+    calls of at most twice the columns just solved, so dgtsv sees at most
+    4 * dim * len(lams) rows even where every shift is singular (p = +-1); a
+    second singular pivot in that column raises EigensolverError.
+    Each block of _SOLVE_ELEMENTS // dim columns (however many restarts it
+    had) is normalised in its own storage and appends the d_N of its
     new pairs, so no column or distance is computed twice, and the blocks are
     joined once, at the end.
     A block with a column that overflows or vanishes is solved again one
@@ -325,33 +327,34 @@ def _inverse_iteration(op: SectorOperator, lams: np.ndarray, scale: float,
         return not (np.isfinite(x).all() and x.any())
 
     blocks, d = [], np.empty(0)
-    start, m = 0, k
-    while start < N:
-        m = min(m, N - start)
-        shifted = (diag - lam[start : start + m, None]).ravel()
-        x, info = solve(shifted)
-        if info == 0:
-            cols, m = x[:, 0].reshape(m, n), min(2 * m, k)
-        else:
-            # exactly singular shift in column c: the columns before it passed elimination, so they
-            # are solved again as one block (same bits), then column c alone, nudged off its eigenvalue
-            c = (info - 1) // n
-            cols = np.empty((c + 1, n))
-            if c:
-                cols[:c] = solve(shifted[: c * n])[0][:, 0].reshape(c, n)
-            cols[c] = nudged(start + c, shifted[c * n : (c + 1) * n])
-            # the next block holds at most twice the columns just solved, and doubles after each
-            # clean solve: a failed call never copies more than twice the columns of the step before
-            m = min(2 * (c + 1), k)
-        stop = start + len(cols)
+    for start in range(0, N, k):
+        m = min(k, N - start)
+        stop = start + m
         # a block is stored after the last column of the block before, for the pair across them, in
         # at least two columns: numpy sums a contiguous (n, 1) array in another order than a view
         prev = 1 if blocks else 0
-        storage = np.empty((n, max(prev + len(cols), 2)))
+        storage = np.empty((n, max(prev + m, 2)))
         if prev:
             storage[:, 0] = blocks[-1][:, -1]
-        block = storage[:, prev : prev + len(cols)]
-        block[...] = cols.T
+        block = storage[:, prev : prev + m]
+        shifted = (diag - lam[start:stop, None]).ravel()
+        c, step = 0, m
+        while c < m:
+            size = min(step, m - c)
+            x, info = solve(shifted[c * n : (c + size) * n])
+            if info == 0:
+                block[:, c : c + size] = x[:, 0].reshape(size, n).T
+                c, step = c + size, 2 * size
+                continue
+            # exactly singular shift in column s: the columns before it passed elimination, so they
+            # are solved again as one block (same bits), then column s alone, nudged off its eigenvalue
+            s = c + (info - 1) // n
+            if s > c:
+                block[:, c:s] = solve(shifted[c * n : s * n])[0][:, 0].reshape(s - c, n).T
+            block[:, s] = nudged(start + s, shifted[s * n : (s + 1) * n])
+            # the next call holds at most twice the columns just solved, and doubles after each
+            # clean solve: a failed call never copies more than twice the columns of the step before
+            c, step = s + 1, 2 * (s + 1 - c)
         hi, lo = block.max(axis=0), -block.min(axis=0)
         mx = np.maximum(hi, lo)
         bad = ~np.isfinite(mx) | (mx == 0.0)
@@ -362,9 +365,8 @@ def _inverse_iteration(op: SectorOperator, lams: np.ndarray, scale: float,
         # largest component of each column becomes +1, then unit 2-norm
         block *= np.where(hi >= lo, 1.0, -1.0) / mx
         block /= np.sqrt(np.einsum("ij,ij->j", block, block))
-        d = np.concatenate([d, _distances(storage[:, : prev + len(cols)])])
+        d = np.concatenate([d, _distances(storage[:, : prev + m])])
         blocks.append(block)
-        start = stop
         if bound is not None and _first_open_doublet(d, bound) + 1 < stop:
             break
     return (blocks[0] if len(blocks) == 1 else np.hstack(blocks)), d
@@ -438,6 +440,9 @@ def diagonalize_each(ops, bound: float | None = None):
     the LAPACK call of _band_eigenvalues releases the interpreter lock, so
     the two run at once on two CPUs.  The first failure in the order of ops
     is raised as it is, and no eigenvalue solve starts after a failure.
+    What it holds grows with the number of operators: three bands each, and
+    one spectrum each until it is yielded, small beside the eigenvectors of
+    one large sector.
     """
     if bound is not None:
         check_bound(bound)

@@ -281,10 +281,11 @@ def test_singular_pivot_nudges_only_its_column(monkeypatch, row):
 
     monkeypatch.setattr(sp, "dgtsv", singular_once)
     V = sp.diagonalize(op).right_eigenvectors
-    rest = n - (col + 1)
+    rest = n - 3 * k
     # two full blocks, the third one up to the singular column, its columns before that column,
-    # that column alone, then full blocks again
-    assert sizes == [k * n] * 3 + [(k // 2) * n, n] + [k * n] * (rest // k) + [(rest % k) * n]
+    # that column alone, the rest of the third block, then full blocks again
+    assert sizes == ([k * n] * 3 + [(k // 2) * n, n, (k - k // 2 - 1) * n]
+                     + [k * n] * (rest // k) + [(rest % k) * n])
     plain = per_column_eigenvectors(op)
     assert V.tobytes() == per_column_eigenvectors(op, nudged={col}).tobytes()
     assert not np.array_equal(V[:, col], plain[:, col])
@@ -398,7 +399,7 @@ def test_walk_adds_only_new_distances(monkeypatch, two_j, p):
     V, d_walk = sp._inverse_iteration(op, w, scale, 1e-4)
     monkeypatch.setattr(sp, "_first_open_doublet", first_open)
     before = walk_before(op, w, 1e-4, scale)
-    assert V.tobytes() == before.tobytes()
+    assert V.flags.c_contiguous and V.tobytes() == before.tobytes()
     for d in seen:
         assert d.tobytes() == sp._distances(V[:, : len(d) + 1]).tobytes()
     assert len(seen[-1]) == V.shape[1] - 1
@@ -406,11 +407,12 @@ def test_walk_adds_only_new_distances(monkeypatch, two_j, p):
     assert sp.diagonalize(op, 1e-4).distances.tobytes() == sp._distances(before).tobytes()
 
 
-@pytest.mark.parametrize("two_j,p", SCAN_SECTORS)
+@pytest.mark.parametrize("two_j,p", SCAN_SECTORS + [(640, 1.0), (320, -1.0)])
 def test_diagonalize_computes_distances_once_per_block(monkeypatch, two_j, p):
     # one _inverse_iteration call per diagonalize walks the blocks and computes the distances of each
     # block once; the decomposition computes none of its own, and they are bitwise the distances over
-    # all returned columns, with a bound or without
+    # all returned columns, with a bound or without; at p = +-1, where every shift is singular, the
+    # restarts stay inside their block
     op = build_sector(ModelParams(two_j=two_j, p=p), 0)
     k = sp._SOLVE_ELEMENTS // op.dim
     calls = {"_distances": 0, "_inverse_iteration": 0}
