@@ -42,7 +42,6 @@ from .closed_forms import (
     triangular_solution,
 )
 from .dynamics import (
-    ObservableTrace,
     VectorizedDensityMatrix,
     btc_experiment,
     coherent_state,

@@ -4,9 +4,10 @@ Every key a command reads is declared once, in its table in build_parser:
 its flag help (None for a config-only key), the function that parses its text
 and its default text.  Defaults, an optional key=value file and flags are
 merged in that order (flags win) and each value is parsed once, so the
-commands get typed values; a value its parser rejects is a usage error that
-names the key.  Sweep points of spectrum and scaling are built and
-diagonalized in the calling thread, in configuration order.  scaling also
+commands get typed values; a value its parser rejects, or a sweep list that
+holds a value twice, is a usage error that names the key.  Sweep points of
+spectrum and scaling are built and diagonalized in the calling thread, in
+configuration order.  scaling also
 runs the eigenvalue solves of the sectors ahead on one helper thread
 (spectra.diagonalize_each), which overlaps them with the eigenvector walks:
 the benchmark's scan sweep went from 0.25 s to 0.18 s per pass on 2 CPUs.
@@ -70,8 +71,13 @@ def _config_from(args) -> dict:
             cfg[key] = keys[key][1](val)
         except (ValueError, ArithmeticError) as exc:
             raise UsageError(f"{key}: {exc}") from exc
-        if isinstance(cfg[key], list) and not cfg[key]:
-            raise UsageError("empty sweep list")
+        values = cfg[key]
+        if isinstance(values, list):
+            if not values:
+                raise UsageError("empty sweep list")
+            twice = [v for i, v in enumerate(values) if v in values[:i]]
+            if twice:
+                raise UsageError(f"{key}: {twice[0]} is repeated")
     if cfg.get("jobs", 1) < 1:
         raise ValueError(f"jobs must be at least 1, got {cfg['jobs']}")
     return cfg
@@ -226,32 +232,29 @@ def cmd_evolve(args) -> int:
         mid_devs = []
         for two_j in two_js:
             params = _params(cfg, two_j, p)
-            res = dyn.slowdown_experiment(params, kw["a"], kw["b"], times)
-            for t, v in zip(res.numeric.times, res.numeric.values):
+            numeric, theory = dyn.slowdown_experiment(params, kw["a"], kw["b"], times)
+            for t, v in zip(times, numeric):
                 trace_rows.append([t, v, two_j, p, "delta_jz_numeric"])
-            for t, v in zip(res.theory.times, res.theory.values):
+            for t, v in zip(times, theory):
                 trace_rows.append([t, v, two_j, p, "delta_jz_theory"])
-            dev = (res.numeric.values - res.theory.values) / res.theory.values
+            dev = (numeric - theory) / theory
             for t, v in zip(times, dev):
                 extra_rows.append([t, v, two_j, p, "relative_deviation"])
             mid_devs.append(abs(dev[len(times) // 2]))
-            groups.append((f"numeric j={two_j/2:g}", times, res.numeric.values))
-            groups.append((f"theory j={two_j/2:g}", times, res.theory.values))
+            groups.append((f"numeric j={two_j/2:g}", times, numeric))
+            groups.append((f"theory j={two_j/2:g}", times, theory))
         if len(two_js) >= 3:
             fit = sp.fit_power_law([two_j / 2 for two_j in two_js], mid_devs)
             extra_rows.append([times[len(times) // 2], fit.exponent, 0, p, "deviation_powerlaw_exponent"])
         svg_lines(os.path.join(out, "slowdown.svg"), groups, xlabel="t", ylabel="delta Jz",
                   title="relaxation slow-down")
     elif name == "coherent":
-        if p != 0:
-            raise ValueError("coherent-state oscillation run requires p=0")
-        params0 = _params(cfg, two_js[0], 0.0)
-        curves = dyn.btc_experiment(params0, two_js, times,
+        curves = dyn.btc_experiment(_params(cfg, two_js[0], p), two_js, times,
                                     cross_check_max_two_j=cfg["cross_check_max_two_j"], **kw)
-        for two_j, tr in curves.items():
-            for t, v in zip(tr.times, tr.values):
+        for two_j, curve in zip(two_js, curves):
+            for t, v in zip(times, curve):
                 trace_rows.append([t, v, two_j, 0.0, "jx_over_j"])
-            groups.append((f"j={two_j/2:g}", tr.times, tr.values))
+            groups.append((f"j={two_j/2:g}", times, curve))
         svg_lines(os.path.join(out, "oscillations.svg"), groups, xlabel="t", ylabel="<Jx>/j",
                   title="undamped oscillations toward the large-j limit")
     else:  # fock; parse_initial accepts no other name

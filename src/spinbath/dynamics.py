@@ -44,9 +44,7 @@ from .model import ModelParams, ladder_coeff
 
 __all__ = [
     "VectorizedDensityMatrix",
-    "ObservableTrace",
     "PositivityError",
-    "SlowdownResult",
     "coherent_state",
     "fock_state",
     "maximally_mixed",
@@ -394,11 +392,12 @@ def _pade_band_propagate(op, steps: np.ndarray, substeps: np.ndarray, u0: np.nda
 
 
 def expectation(rho: VectorizedDensityMatrix, which: str) -> float:
-    """<Jz>, <Jx>, <Jy>, or a diagonal projector <m> population.
+    """<Jz>, <Jx> or <Jy>.
 
-    Jz reads sector 0 only; Jx and Jy read sectors +-1 through the ladder
-    coefficients.  The imaginary part must vanish for Hermitian input and is
-    checked against a 1e-10 tolerance.
+    Jz reads sector 0 only.  Jx and Jy read sector +1 if the state holds it,
+    else the conjugate of sector -1 (its Hermitian mirror), through the
+    lowering coefficients.  The imaginary part must vanish for Hermitian
+    input and is checked against a 1e-10 tolerance.
     """
     j = rho.j
     name = which.lower()
@@ -409,26 +408,15 @@ def expectation(rho: VectorizedDensityMatrix, which: str) -> float:
         ms = -j + np.arange(len(v))
         val = complex(np.sum(ms * v))
     elif name in ("jx", "jy"):
-        vp = rho.sectors.get(1)
-        vm = rho.sectors.get(-1)
-        if vp is None and vm is None:
-            raise ValueError("state has no M=+-1 sectors")
-        # Tr(rho J-) = sum_m rho(+1)_m C-(m); Tr(rho J+) is its Hermitian mirror
-        if vp is not None:
-            m_min = max(-j, -j + 1)
-            ms = m_min + np.arange(len(vp))
-            jminus = complex(np.sum(vp * ladder_coeff(j, ms, "lower")))
+        if 1 in rho.sectors:
+            v = rho.sectors[1]
+        elif -1 in rho.sectors:
+            v = np.conj(rho.sectors[-1])
         else:
-            m_min = -j
-            ms = m_min + np.arange(len(vm))
-            jminus = complex(np.conj(np.sum(vm * ladder_coeff(j, ms, "raise"))))
+            raise ValueError("state has no M=+-1 sectors")
+        # Tr(rho J-) = sum_m rho(+1)_m C-(m), m from -j + 1
+        jminus = complex(np.sum(v * ladder_coeff(j, -j + 1 + np.arange(len(v)), "lower")))
         val = complex(jminus.real) if name == "jx" else complex(-jminus.imag)
-    elif name.startswith("pop:"):
-        m = float(name.split(":", 1)[1])
-        v = rho.sectors.get(0)
-        if v is None:
-            raise ValueError("state has no M=0 sector")
-        val = complex(v[int(round(m + j))])
     else:
         raise ValueError(f"unknown observable {which!r}")
     if abs(val.imag) > 1e-10 * max(1.0, abs(val.real)):
@@ -456,36 +444,15 @@ def entropy(rho: VectorizedDensityMatrix) -> float:
     return float(-np.sum(w * np.log(w)) + 0.0)
 
 
-@dataclass(frozen=True)
-class ObservableTrace:
-    times: np.ndarray
-    values: np.ndarray
-    label: str
-
-    def __post_init__(self):
-        if len(self.times) != len(self.values):
-            raise ValueError("times and values length mismatch")
-        if np.any(np.diff(self.times) <= 0) and len(self.times) > 1:
-            raise ValueError("times must be strictly increasing")
-
-
-@dataclass(frozen=True)
-class SlowdownResult:
-    numeric: ObservableTrace
-    theory: ObservableTrace
-    initial_state: VectorizedDensityMatrix
-    jz_infinity: float
-    jordan_scale: float
-
-
-def slowdown_experiment(params: ModelParams, a: float, b: float, times) -> SlowdownResult:
+def slowdown_experiment(params: ModelParams, a: float, b: float, times) -> tuple[np.ndarray, np.ndarray]:
     """Relaxation of delta-Jz from the steady state dressed with its slowest
     doublet, against the thermodynamic-limit two-mode prediction.
 
     The initial state is SS + a*eigvec + b*gen_eigvec (trace renormalized) and
     must pass the positivity check.  The theory curve propagates the rank-2
     pair: coefficients (a + kappa b t) e^{lambda1 t} and b e^{lambda1 t}, with
-    kappa the Jordan scale of the normalized states.
+    kappa the Jordan scale of the normalized states.  Returns (numeric,
+    theory): the two delta-Jz curves on times, normalized to 1 at t = 0.
     """
     if not 0 < abs(params.p) < 1:
         raise ValueError("slowdown experiment needs 0 < |p| < 1")
@@ -514,31 +481,26 @@ def slowdown_experiment(params: ModelParams, a: float, b: float, times) -> Slowd
     jz_g = jz_of(hp.gen_eigvec)
     denom = a * jz_e + b * jz_g
     theo = np.exp(lam1 * ts) * ((a + hp.jordan_scale * b * ts) * jz_e + b * jz_g) / denom
-    return SlowdownResult(
-        numeric=ObservableTrace(ts, num, "delta_jz_numeric"),
-        theory=ObservableTrace(ts, theo, "delta_jz_theory"),
-        initial_state=rho0,
-        jz_infinity=jz_inf,
-        jordan_scale=hp.jordan_scale,
-    )
+    return num, theo
 
 
 def btc_experiment(params: ModelParams, two_j_list, times, cross_check_max_two_j: int = 0,
-                   theta: float = np.pi / 2, phi: float = 0.0) -> dict:
+                   theta: float = np.pi / 2, phi: float = 0.0) -> list[np.ndarray]:
     """Undamped-oscillation curves <Jx(t)>/j at p = 0 from the coherent start (theta, phi).
 
     The law <Jx(t)>/j = e^{-(Gamma+Gamma0) t/(2j)} sin(theta) cos(h t + phi)
     is exact at every finite j; the default theta = pi/2, phi = 0 maximizes
-    <Jx(0)> = j.  Sizes up to cross_check_max_two_j are verified against
-    direct propagation from that coherent state; a disagreement above 1e-8
-    is a ValueError.
+    <Jx(0)> = j.  Returns one curve on times per entry of two_j_list, in its
+    order, repeated sizes included.  Sizes up to cross_check_max_two_j are
+    verified against direct propagation from that coherent state; a
+    disagreement above 1e-8 is a ValueError.
     """
     if params.p != 0:
-        raise ValueError("btc experiment requires p = 0")
+        raise ValueError("coherent-state oscillation run requires p = 0")
     ts = _check_times(times)
     if not math.isfinite(params.h * float(ts[-1]) + phi):
         raise ValueError(f"phase h*t overflows the double range (h={params.h!r}, t={float(ts[-1])!r})")
-    out = {}
+    out = []
     for two_j in two_j_list:
         j = two_j / 2.0
         # a huge rate overflows the exponent to -inf (decay 0), or to NaN as inf*0 at t = 0 (decay 1)
@@ -554,5 +516,5 @@ def btc_experiment(params: ModelParams, two_j_list, times, cross_check_max_two_j
                 raise ValueError(
                     f"closed form and propagation disagree at two_j={two_j}: {np.abs(num - vals).max():.2e}"
                 )
-        out[two_j] = ObservableTrace(ts, vals, f"jx_over_j_two_j_{two_j}")
+        out.append(vals)
     return out

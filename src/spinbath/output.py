@@ -224,9 +224,9 @@ def _svg_frame(width, height, pad, box, xlabel, ylabel, title):
     return parts
 
 
-def _svg_plot(path, groups, marks, xlabel, ylabel, title, width, height):
-    """Framed plot with a legend; marks(xs, ys, sx, sy, color) draws one group."""
-    pad = 48
+def _svg_plot(path, groups, marks, xlabel, ylabel, title):
+    """Framed 640 x 480 plot with a legend; marks(xs, ys, sx, sy, color) draws one group."""
+    width, height, pad = 640, 480, 48
     all_x = np.concatenate([np.asarray(g[1], float) for g in groups if len(g[1])])
     all_y = np.concatenate([np.asarray(g[2], float) for g in groups if len(g[2])])
     sx, sy, box = _axes(all_x, all_y, width, height, pad)
@@ -260,11 +260,11 @@ def _polyline(xs, ys, sx, sy, color):
     return [f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>']
 
 
-def svg_scatter(path, groups, xlabel="", ylabel="", title="", width=640, height=480):
+def svg_scatter(path, groups, xlabel="", ylabel="", title=""):
     """Scatter plot; groups is a list of (label, xs, ys) drawn in color order."""
-    return _svg_plot(path, groups, _circles, xlabel, ylabel, title, width, height)
+    return _svg_plot(path, groups, _circles, xlabel, ylabel, title)
 
 
-def svg_lines(path, groups, xlabel="", ylabel="", title="", width=640, height=480):
+def svg_lines(path, groups, xlabel="", ylabel="", title=""):
     """Polyline plot; groups is a list of (label, xs, ys)."""
-    return _svg_plot(path, groups, _polyline, xlabel, ylabel, title, width, height)
+    return _svg_plot(path, groups, _polyline, xlabel, ylabel, title)

@@ -605,32 +605,25 @@ def density_of_states(decs, two_j: int, bins: int | None = None) -> DensityOfSta
     return DensityOfStates(bin_edges=edges, density=density, peak_location=float(peak), n_eigenvalues=len(x))
 
 
-def kernel_dimension(op: SectorOperator, lam: complex, rel_tol: float = 1e-8) -> int:
-    """Numerical nullity of (L - lam I) via singular values below rel_tol * _band_scale(op)."""
+def kernel_dimension(op: SectorOperator, lam: complex) -> int:
+    """Numerical nullity of (L - lam I) via singular values below 1e-8 * _band_scale(op)."""
     A = op.to_dense() - lam * np.eye(op.dim)
     sv = np.linalg.svd(A, compute_uv=False)
-    tol = rel_tol * _band_scale(op)
-    return int(np.sum(sv < tol))
+    return int(np.sum(sv < 1e-8 * _band_scale(op)))
 
 
-def floor_cut(points, floor: float = DISTANCE_FLOOR) -> tuple[np.ndarray, np.ndarray]:
-    """xs and ds of the (x, d) points before the first d below the floor.
+def floor_cut(points) -> tuple[np.ndarray, np.ndarray]:
+    """xs and ds of the (x, d) points before the first d below DISTANCE_FLOOR.
 
     Below the floor d is rounding noise.  points may be lazy: nothing past
     the first point below the floor is drawn from it.
     """
-    kept = list(itertools.takewhile(lambda xd: xd[1] >= floor, points))
+    kept = list(itertools.takewhile(lambda xd: xd[1] >= DISTANCE_FLOOR, points))
     return np.array([x for x, _ in kept], dtype=float), np.array([d for _, d in kept], dtype=float)
 
 
-def doublet_distance_decay(
-    params_for: "callable",
-    two_j_values,
-    pair_index: int = 1,
-    floor: float = DISTANCE_FLOOR,
-    M: int = 0,
-) -> tuple[np.ndarray, np.ndarray]:
-    """d_{pair_index}(j) over a list of sizes, cut at the floor by floor_cut.
+def doublet_distance_decay(params_for: "callable", two_j_values) -> tuple[np.ndarray, np.ndarray]:
+    """d_1(j) of sector M = 0 over a list of sizes, cut at the floor by floor_cut.
 
     params_for maps two_j -> ModelParams; returns the sizes j actually used
     and their distances.  Sizes too small to hold the pair are skipped.
@@ -638,8 +631,8 @@ def doublet_distance_decay(
 
     def points():
         for two_j in two_j_values:
-            dec = diagonalize(build_sector(params_for(two_j), M))
-            if dec.dim > pair_index + 1:
-                yield two_j / 2.0, eigenvector_distance(dec, pair_index)
+            dec = diagonalize(build_sector(params_for(two_j), 0))
+            if dec.dim > 2:
+                yield two_j / 2.0, eigenvector_distance(dec, 1)
 
-    return floor_cut(points(), floor)
+    return floor_cut(points())

@@ -258,8 +258,7 @@ def slowdown_curves():
     times = np.linspace(0.0, 3.0, 31)
     out = {}
     for j in (20, 40, 80, 160):
-        res = dyn.slowdown_experiment(ModelParams(two_j=2 * j, p=0.5), a=0.0, b=1 / 6, times=times)
-        out[j] = res
+        out[j] = dyn.slowdown_experiment(ModelParams(two_j=2 * j, p=0.5), a=0.0, b=1 / 6, times=times)
     return times, out
 
 
@@ -272,8 +271,8 @@ def slowdown_curves():
 )
 def test_criterion_8_slowdown_match_as_specified(slowdown_curves):
     times, curves = slowdown_curves
-    res = curves[160]
-    rel = np.abs(res.numeric.values - res.theory.values) / np.abs(res.theory.values)
+    numeric, theory = curves[160]
+    rel = np.abs(numeric - theory) / np.abs(theory)
     ok = rel.max() <= 0.05
     assert report("8 (stated 5% bound)", ok, f"j=160 max relative deviation {100*rel.max():.2f}% over t in [0,3]")
 
@@ -283,15 +282,14 @@ def test_criterion_8_slowdown_deviation_scaling(slowdown_curves):
     # numeric follows theory within the observed finite-size envelope, which
     # shrinks with j
     rels = {}
-    for j, res in curves.items():
-        rels[j] = float((np.abs(res.numeric.values - res.theory.values) / np.abs(res.theory.values)).max())
+    for j, (numeric, theory) in curves.items():
+        rels[j] = float((np.abs(numeric - theory) / np.abs(theory)).max())
     shrinking = all(rels[a] > rels[b] for a, b in ((20, 40), (40, 80), (80, 160)))
     close = rels[160] <= 0.08
     # inset: relative deviation at t=1 falls as a power law j^-a, a in [0.5, 2]
     it = int(np.argmin(np.abs(times - 1.0)))
     xs = sorted(curves)
-    ys = [abs(curves[j].numeric.values[it] - curves[j].theory.values[it]) / abs(curves[j].theory.values[it])
-          for j in xs]
+    ys = [abs(curves[j][0][it] - curves[j][1][it]) / abs(curves[j][1][it]) for j in xs]
     fit = sp.fit_power_law(xs, ys)
     a = -fit.exponent
     ok = shrinking and close and 0.5 <= a <= 2.0

@@ -635,12 +635,51 @@ def test_evolve_btc_failed_cross_check_is_one_line_error(tmp_path, capsys, monke
     assert not (tmp_path / "out").exists()
 
 
-def test_evolve_btc_rejects_nonzero_p(tmp_path):
+def test_evolve_btc_rejects_nonzero_p(tmp_path, capsys):
     rc = main([
         "evolve", "--two-j", "8", "--p", "0.5", "--initial", "coherent:theta=1:phi=0",
-        "--out", str(tmp_path),
+        "--out", str(tmp_path / "out"),
     ])
     assert rc == 1
+    assert one_line_error(capsys) == "error: coherent-state oscillation run requires p = 0\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--two-j", "40", "--p", "0.5", "--initial", "hp-doublet:a=0:b=1/6", "--times", "lin:1:1:3"],
+    ["--two-j", "40", "--p", "0", "--initial", "coherent", "--times", "lin:1:1:3"],
+    ["--two-j", "40", "--p", "0", "--initial", "coherent", "--times", "log:1:1:2"],
+    ["--two-j", "40", "--p", "0", "--initial", "fock:m=top", "--times", "lin:0:0:3"],
+], ids=["hp-doublet", "coherent-lin", "coherent-log", "fock"])
+def test_evolve_accepts_a_grid_that_repeats_a_time(tmp_path, argv):
+    # every selector takes the nondecreasing grids propagate takes; hp-doublet used to exit 1
+    assert main(["evolve", *argv, "--out", str(tmp_path)]) == 0
+    rows = [r.split(",") for r in read(tmp_path / "traces.csv").splitlines()[1:]]
+    ts = sorted({r[0] for r in rows})
+    assert len(ts) == 1
+    for label in {r[-1] for r in rows}:
+        assert len({r[1] for r in rows if r[-1] == label}) == 1
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["spectrum", "--two-j", "4 8 4", "--p", "0.5"], "two_j: 4 is repeated"),
+    (["scaling", "--two-j", "80 80 80", "--p", "0.5"], "two_j: 80 is repeated"),
+    (["evolve", "--two-j", "40 40 40", "--p", "0.5", "--initial", "hp-doublet:a=0:b=1/6"],
+     "two_j: 40 is repeated"),
+    (["spectrum", "--two-j", "4", "--p", "0.5 1/2"], "p: 0.5 is repeated"),
+    (["scaling", "--two-j", "8 16 32", "--p", "0 0.3 0"], "p: 0.0 is repeated"),
+    (["evolve", "--two-j", "8", "--p", "0.5 0.5", "--initial", "fock:m=top"], "p: 0.5 is repeated"),
+    (["spectrum", "--two-j", "4", "--p", "0.5", "--m", "1 -1 1"], "m: 1 is repeated"),
+    (["scaling", "--two-j", "8 16 32", "--p", "0.5", "--gamma-bound", "1e-4 1e-5 0.0001"],
+     "gamma_bound: 0.0001 is repeated"),
+], ids=["spectrum-two_j", "scaling-two_j", "evolve-two_j", "spectrum-p", "scaling-p", "evolve-p",
+        "spectrum-m", "scaling-gamma_bound"])
+def test_repeated_sweep_value_is_usage_error(tmp_path, capsys, argv, message):
+    # a repeated size used to fit a power law to copies of one point, with exit 0
+    rc = main(argv + ["--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert one_line_error(capsys) == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_evolve_rejects_p_list(tmp_path, capsys):

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from spinbath import dynamics as dyn
 from spinbath import spectra as sp
+from spinbath.closed_forms import thermal_ss
 from spinbath.liouvillian import build_bruteforce, build_sector
 from spinbath.model import ModelParams
 from spinbath.verification import multiset_match_error
@@ -64,11 +65,12 @@ def test_spectrum_scales_linearly_in_gamma(two_j, M, gamma, h, p):
 def test_slowdown_mirror_in_bath_sign():
     # flipping p mirrors the state; the normalized relaxation curve is invariant
     ts = np.linspace(0.0, 2.0, 9)
-    plus = dyn.slowdown_experiment(ModelParams(two_j=80, p=0.5), 0.0, 0.1, ts)
-    minus = dyn.slowdown_experiment(ModelParams(two_j=80, p=-0.5), 0.0, 0.1, ts)
-    assert np.allclose(plus.numeric.values, minus.numeric.values, atol=1e-10)
-    assert np.allclose(plus.theory.values, minus.theory.values, atol=1e-12)
-    assert plus.jz_infinity == pytest.approx(-minus.jz_infinity, abs=1e-10)
+    plus, minus = ModelParams(two_j=80, p=0.5), ModelParams(two_j=80, p=-0.5)
+    plus_numeric, plus_theory = dyn.slowdown_experiment(plus, 0.0, 0.1, ts)
+    minus_numeric, minus_theory = dyn.slowdown_experiment(minus, 0.0, 0.1, ts)
+    assert np.allclose(plus_numeric, minus_numeric, atol=1e-10)
+    assert np.allclose(plus_theory, minus_theory, atol=1e-12)
+    assert thermal_ss(plus).jz == pytest.approx(-thermal_ss(minus).jz, abs=1e-10)
 
 
 def test_scalar_liouville_space():
