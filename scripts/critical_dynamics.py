@@ -18,7 +18,8 @@ def run(outdir: str) -> None:
         "--times", "lin:0:30:301",
         "--out", f"{outdir}/oscillations",
     ])
-    # entropy traces (propagation is dense; keep j <= 60)
+    # entropy traces; at p = 0 every sector propagates in its orthogonal eigenbasis,
+    # so sizes far past these run too (2j = 1280 on this grid takes seconds)
     cli([
         "evolve",
         "--two-j", "20 60 120",

@@ -37,7 +37,6 @@ from .closed_forms import (
     o3_eigenvalue,
     o3_expectation,
     thermal_ss,
-    triangular_eigenvalue,
     triangular_eigenvector,
     triangular_solution,
 )
@@ -48,7 +47,6 @@ from .dynamics import (
     entropy,
     expectation,
     fock_state,
-    maximally_mixed,
     propagate,
     slowdown_experiment,
 )

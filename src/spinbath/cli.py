@@ -237,6 +237,10 @@ def cmd_evolve(args) -> int:
                 trace_rows.append([t, v, two_j, p, "delta_jz_numeric"])
             for t, v in zip(times, theory):
                 trace_rows.append([t, v, two_j, p, "delta_jz_theory"])
+            zero = np.flatnonzero(theory == 0)
+            if zero.size:
+                raise ValueError(f"theory curve is 0 at t={float(times[zero[0]])!r} (two_j={two_j}): "
+                                 "the relative deviation is undefined there")
             dev = (numeric - theory) / theory
             for t, v in zip(times, dev):
                 extra_rows.append([t, v, two_j, p, "relative_deviation"])
@@ -332,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
             **shared,
             "p": ("polarization (default 0)", parse_float_list, "0"),
             "times": ("time grid lin:START:STOP:NUM or log:START:STOP:NUM (default lin:0:3:61)",
-                      parse_time_grid, "lin:0:3:61"),
+                      lambda text: dyn._check_times(parse_time_grid(text)), "lin:0:3:61"),
             "initial": ("initial state: hp-doublet:a=..:b=.. | fock:m=.. | coherent:theta=..:phi=..",
                         parse_initial, None),
             "cross_check_max_two_j": (None, int, "0"),

@@ -32,7 +32,6 @@ __all__ = [
     "HPStates",
     "ThermalSS",
     "DefectiveChainError",
-    "triangular_eigenvalue",
     "triangular_solution",
     "triangular_eigenvector",
     "o3_eigenvalue",
@@ -61,25 +60,16 @@ def _triangular_diagonal(params: ModelParams, m, M: int):
     return lam + -params.gamma0 * M**2 / (2 * j) if params.gamma0 else lam
 
 
-def triangular_eigenvalue(params: ModelParams, m: float, M: int) -> complex:
-    """Diagonal eigenvalue of the triangular limit |p| = 1."""
-    _require_full_polarization(params)
-    sec = sector_basis(params, M)
-    if not (sec.m_min - 1e-9 <= m <= sec.m_max + 1e-9):
-        raise ValueError(f"m={m} outside sector M={M}")
-    return complex(_triangular_diagonal(params, m, M))
-
-
 @dataclass(frozen=True)
 class TriangularSolution:
     """Eigenvalue table of one sector at |p| = 1 with its exact pairing.
 
-    pairing maps the m label to its degenerate partner M - m + p; labels in
-    exceptions are unpaired (the extremal eigenvalues of the sector).
+    eigenvalues[k] is the diagonal eigenvalue at the label m_labels[k]
+    (ascending m).  pairing maps the m label to its degenerate partner
+    M - m + p; labels in exceptions are unpaired (the extremal eigenvalues of
+    the sector).
     """
 
-    M: int
-    p: float
     m_labels: np.ndarray
     eigenvalues: np.ndarray
     pairing: dict
@@ -101,9 +91,7 @@ def triangular_solution(params: ModelParams, M: int) -> TriangularSolution:
             # a fixed point (odd-M lowest eigenvalue) or a partner outside the
             # sector (extremal state)
             exceptions.append(float(m))
-    return TriangularSolution(
-        M=M, p=params.p, m_labels=ms, eigenvalues=lams, pairing=pairing, exceptions=exceptions
-    )
+    return TriangularSolution(m_labels=ms, eigenvalues=lams, pairing=pairing, exceptions=exceptions)
 
 
 def triangular_eigenvector(params: ModelParams, N: float, M: int) -> np.ndarray:
@@ -297,28 +285,18 @@ class HPStates:
     """Large-j bosonic states of the M = 0 sector for 0 < |p| < 1.
 
     Coefficient vectors live on the diagonal basis |m, m>, m = -j..j (index
-    m + j), truncated at occupation 2j.  steady_state is trace normalized;
-    eigvec (the slowest decaying eigenvector) and gen_eigvec (its rank-2
-    generalized partner, printed-coefficient gauge) are Euclidean normalized.
-    jordan_scale kappa makes (L_TL - lambda1) gen_eigvec = kappa * eigvec.
+    m + j), truncated at occupation 2j.  lambda1 = -2|p|Gamma is the slowest
+    doublet eigenvalue.  steady_state is trace normalized; eigvec (the slowest
+    decaying eigenvector) and gen_eigvec (its rank-2 generalized partner,
+    printed-coefficient gauge) are Euclidean normalized.  jordan_scale kappa
+    makes (L_TL - lambda1) gen_eigvec = kappa * eigvec.
     """
 
-    alpha: float
     lambda1: complex
     steady_state: np.ndarray
     eigvec: np.ndarray
     gen_eigvec: np.ndarray
     jordan_scale: float
-    omegas: np.ndarray
-    mirrored: bool
-    gamma: float = 1.0
-    p: float = 0.0
-
-    def doublet_eigenvalue(self, n: int) -> complex:
-        """Large-j doublet eigenvalue -2|p|Gamma*n of the M = 0 tower."""
-        if n < 0:
-            raise ValueError("doublet index must be nonnegative")
-        return complex(-2 * abs(self.p) * self.gamma * n)
 
 
 def _omega_coefficients(p: float, nmax: int) -> np.ndarray:
@@ -370,7 +348,6 @@ def hp_states(params: ModelParams) -> HPStates:
     p = params.p
     if not 0 < abs(p) < 1:
         raise ValueError(f"requires 0 < |p| < 1, got p={p}")
-    mirrored = p < 0
     pa = abs(p)
     nmax = params.two_j
     alpha = (1 - pa) / (1 + pa)
@@ -383,35 +360,27 @@ def hp_states(params: ModelParams) -> HPStates:
     kappa = (1 + pa) / 2 * np.linalg.norm(eig) / np.linalg.norm(gen)
     eigh_ = eig / np.linalg.norm(eig)
     genh = gen / np.linalg.norm(gen)
-    if mirrored:
+    if p < 0:
         ss, eigh_, genh = ss[::-1].copy(), eigh_[::-1].copy(), genh[::-1].copy()
     return HPStates(
-        alpha=alpha,
         lambda1=complex(-2 * pa * params.gamma),
         steady_state=ss,
         eigvec=eigh_,
         gen_eigvec=genh,
         jordan_scale=float(kappa),
-        omegas=_omega_coefficients(pa, nmax),
-        mirrored=mirrored,
-        gamma=params.gamma,
-        p=p,
     )
 
 
 @dataclass(frozen=True)
 class ThermalSS:
-    """Thermal form of the steady state: rho_SS = exp(beta h Jz)/Z.
+    """Steady state rho_SS = exp(beta h Jz)/Z in its geometric form, alpha = exp(beta h) = (1 - p)/(1 + p).
 
-    beta is None at h = 0, where only the geometric (alpha) parametrization is
-    regular.  coefficients is the trace-normalized diagonal on m = -j..j.
+    coefficients is the trace-normalized diagonal on m = -j..j, proportional
+    to alpha^(m+j); jz is its magnetization.
     """
 
-    beta: float | None
-    Z: float
     jz: float
     coefficients: np.ndarray
-    alpha: float
 
 
 def thermal_ss(params: ModelParams) -> ThermalSS:
@@ -421,12 +390,12 @@ def thermal_ss(params: ModelParams) -> ThermalSS:
     identically (term-by-term cancellation), for any gamma0.  At |p| = 1 the
     state degenerates to the pure extremal state and is returned as such.
     """
-    p, j, h = params.p, params.j, params.h
+    p, j = params.p, params.j
     N = params.hilbert_dim
     if abs(p) >= 1:
         coef = np.zeros(N)
         coef[0 if p > 0 else -1] = 1.0
-        return ThermalSS(beta=None, Z=1.0, jz=(-j if p > 0 else j), coefficients=coef, alpha=(0.0 if p > 0 else np.inf))
+        return ThermalSS(jz=(-j if p > 0 else j), coefficients=coef)
     alpha = (1 - p) / (1 + p)
     # weights alpha^(m+j), stably normalized through logs for large j
     expo = np.arange(N) * math.log(alpha)
@@ -435,23 +404,7 @@ def thermal_ss(params: ModelParams) -> ThermalSS:
     coef = w / Zshift
     ms = -j + np.arange(N)
     jz = float(np.sum(ms * coef))
-    # partition function in the beta parametrization (reference value; may
-    # overflow to inf at large j without affecting the normalized coefficients)
-    if h != 0:
-        beta = math.log(alpha) / h
-        bh = beta * h
-        try:
-            if abs(bh) > 1e-12:
-                Z = math.exp(-bh * j) * (1 - math.exp(bh * (2 * j + 1))) / (1 - math.exp(bh))
-            else:
-                Z = float(N)
-        except OverflowError:
-            Z = math.inf
-    else:
-        beta = None
-        with np.errstate(over="ignore"):
-            Z = float(np.sum(np.exp(expo)))
-    return ThermalSS(beta=beta, Z=float(Z), jz=jz, coefficients=coef, alpha=alpha)
+    return ThermalSS(jz=jz, coefficients=coef)
 
 
 def critical_value_per_j(p: float, gamma: float) -> float:

@@ -47,7 +47,6 @@ __all__ = [
     "PositivityError",
     "coherent_state",
     "fock_state",
-    "maximally_mixed",
     "propagate",
     "expectation",
     "entropy",
@@ -74,9 +73,6 @@ class VectorizedDensityMatrix:
     @property
     def j(self) -> float:
         return self.two_j / 2.0
-
-    def copy(self) -> "VectorizedDensityMatrix":
-        return VectorizedDensityMatrix(self.two_j, {M: v.copy() for M, v in self.sectors.items()})
 
     def trace(self) -> complex:
         v = self.sectors.get(0)
@@ -122,11 +118,6 @@ def fock_state(two_j: int, m: float) -> VectorizedDensityMatrix:
     v = np.zeros(two_j + 1, dtype=complex)
     v[int(round(m + j))] = 1.0
     return VectorizedDensityMatrix(two_j, {0: v})
-
-
-def maximally_mixed(two_j: int) -> VectorizedDensityMatrix:
-    N = two_j + 1
-    return VectorizedDensityMatrix(two_j, {0: np.full(N, 1.0 / N, dtype=complex)})
 
 
 def coherent_state(two_j: int, theta: float, phi: float) -> VectorizedDensityMatrix:

@@ -48,10 +48,6 @@ class ModelParams:
     def hilbert_dim(self) -> int:
         return self.two_j + 1
 
-    @property
-    def liouville_dim(self) -> int:
-        return (self.two_j + 1) ** 2
-
 
 @dataclass(frozen=True)
 class SectorIndex:

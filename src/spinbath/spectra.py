@@ -38,14 +38,14 @@ import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import cython_lapack
 from scipy.linalg.lapack import dgtsv
 
-from .liouvillian import SectorOperator, build_sector
+from .liouvillian import SectorOperator
 
 __all__ = [
     "SpectralDecomposition",
@@ -65,7 +65,6 @@ __all__ = [
     "fit_exponential",
     "density_of_states",
     "kernel_dimension",
-    "doublet_distance_decay",
     "floor_cut",
     "DISTANCE_FLOOR",
 ]
@@ -107,8 +106,8 @@ class SpectralDecomposition:
     eigenvalues always hold all dim values; built with a bound (see
     diagonalize), right_eigenvectors and residual_norms may hold only the
     leading columns, fewer than dim.  distances holds their d_N (see
-    pair_distances), read-only: the array given, which diagonalize computes
-    while it solves, or else computed once from right_eigenvectors.
+    pair_distances), which diagonalize computes while it solves and marks
+    read-only.
     """
 
     sector: "object"
@@ -116,12 +115,7 @@ class SpectralDecomposition:
     right_eigenvectors: np.ndarray
     residual_norms: np.ndarray
     operator_scale: float
-    distances: np.ndarray | None = None
-
-    def __post_init__(self):
-        d = _distances(self.right_eigenvectors) if self.distances is None else self.distances
-        d.flags.writeable = False
-        object.__setattr__(self, "distances", d)
+    distances: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -130,12 +124,10 @@ class SpectralDecomposition:
 
 @dataclass(frozen=True)
 class EPScanResult:
-    """Outcome of the coalescence walk at one bound gamma."""
+    """Outcome of the coalescence walk at one bound: the precursor eigenvalue and its index, or None for both."""
 
-    gamma_bound: float
     precursor: complex | None
     precursor_index: int | None
-    paired_indices: list[tuple[int, int]] = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -395,6 +387,7 @@ def diagonalize(op: SectorOperator, bound: float | None = None, *, _eigenvalues=
     w = _band_eigenvalues(op) if _eigenvalues is None else _eigenvalues
     scale = _band_scale(op)
     V, d = _inverse_iteration(op, w, scale, bound)
+    d.flags.writeable = False
     return SpectralDecomposition(
         sector=op.sector,
         eigenvalues=w + op.shift,
@@ -539,12 +532,7 @@ def ep_scan(dec: SpectralDecomposition, gamma_bound: float) -> EPScanResult:
     if prec is None and n < dec.dim:
         raise ValueError(f"the {n} of {dec.dim} eigenvectors end before the first open doublet "
                          f"at bound {gamma_bound}")
-    return EPScanResult(
-        gamma_bound=gamma_bound,
-        precursor=None if prec is None else complex(dec.eigenvalues[prec]),
-        precursor_index=prec,
-        paired_indices=[(n, n + 1) for n in range(1, N, 2)],
-    )
+    return EPScanResult(precursor=None if prec is None else complex(dec.eigenvalues[prec]), precursor_index=prec)
 
 
 def _linear_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
@@ -620,19 +608,3 @@ def floor_cut(points) -> tuple[np.ndarray, np.ndarray]:
     """
     kept = list(itertools.takewhile(lambda xd: xd[1] >= DISTANCE_FLOOR, points))
     return np.array([x for x, _ in kept], dtype=float), np.array([d for _, d in kept], dtype=float)
-
-
-def doublet_distance_decay(params_for: "callable", two_j_values) -> tuple[np.ndarray, np.ndarray]:
-    """d_1(j) of sector M = 0 over a list of sizes, cut at the floor by floor_cut.
-
-    params_for maps two_j -> ModelParams; returns the sizes j actually used
-    and their distances.  Sizes too small to hold the pair are skipped.
-    """
-
-    def points():
-        for two_j in two_j_values:
-            dec = diagonalize(build_sector(params_for(two_j), 0))
-            if dec.dim > 2:
-                yield two_j / 2.0, eigenvector_distance(dec, 1)
-
-    return floor_cut(points())

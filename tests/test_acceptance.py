@@ -7,6 +7,7 @@ xfail(strict) so an unexpected pass is flagged; companion tests assert the
 same physics at validated bounds.
 """
 
+import csv
 import math
 import time
 
@@ -16,6 +17,7 @@ import pytest
 from spinbath import closed_forms as cf
 from spinbath import dynamics as dyn
 from spinbath import spectra as sp
+from spinbath.cli import main
 from spinbath.liouvillian import build_bruteforce, build_sector
 from spinbath.model import ModelParams, sector_basis
 from spinbath.verification import multiset_match_error, run_all_checks
@@ -160,16 +162,24 @@ def test_criterion_5_hp_doublet_convergence():
     )
 
 
-def test_criterion_6_ep_formation_d1_decay():
+def d1_decay_fits(out, two_js, ps):
+    """{p: (exponent, r_squared, n_points)} of the d1_decay rows that scaling writes to fits.csv."""
+    assert main(["scaling", "--two-j", " ".join(map(str, two_js)), "--p", " ".join(map(str, ps)),
+                 "--out", str(out)]) == 0
+    with open(out / "fits.csv", newline="", encoding="utf-8") as f:
+        rows = [r for r in csv.DictReader(f) if r["series"] == "d1_decay"]
+    return {float(r["p"]): (float(r["exponent"]), float(r["r_squared"]), int(r["n_points"])) for r in rows}
+
+
+def test_criterion_6_ep_formation_d1_decay(tmp_path):
     results = []
     ok = True
+    fits = d1_decay_fits(tmp_path / "j10-60", range(20, 121, 2), (0.2, 0.5))
     for p in (0.2, 0.5):
-        make = lambda two_j: ModelParams(two_j=two_j, p=p)
-        js, ds = sp.doublet_distance_decay(make, [2 * j for j in range(10, 61)])
-        fit = sp.fit_exponential(js, ds)
-        good = fit.exponent < 0 and fit.r_squared > 0.98
+        rate, r2, n = fits[p]
+        good = rate < 0 and r2 > 0.98
         ok = ok and good
-        results.append(f"p={p}: rate {fit.exponent:.3f}, r2 {fit.r_squared:.4f}, {fit.n_points} pts")
+        results.append(f"p={p}: rate {rate:.3f}, r2 {r2:.4f}, {n} pts")
     # p = 0.8: every point of the stated grid sits below the 1e-12 floor (the
     # doublet has fully coalesced numerically); verify complete coalescence on
     # the stated grid and exponential decay on the sizes that carry signal
@@ -179,14 +189,12 @@ def test_criterion_6_ep_formation_d1_decay():
         dec = sp.diagonalize(build_sector(ModelParams(two_j=2 * j, p=p), 0))
         floor_vals.append(sp.eigenvector_distance(dec, 1))
     coalesced = max(floor_vals) < 1e-12
-    make = lambda two_j: ModelParams(two_j=two_j, p=p)
-    js, ds = sp.doublet_distance_decay(make, [2 * j for j in range(3, 10)])
-    fit = sp.fit_exponential(js, ds)
-    good = coalesced and fit.exponent < 0 and fit.r_squared > 0.98
+    rate, r2, _ = d1_decay_fits(tmp_path / "j3-9", range(6, 19, 2), (p,))[p]
+    good = coalesced and rate < 0 and r2 > 0.98
     ok = ok and good
     results.append(
         f"p=0.8: grid j>=10 fully coalesced (max d1 {max(floor_vals):.1e} < 1e-12), "
-        f"small-j rate {fit.exponent:.3f}, r2 {fit.r_squared:.4f}"
+        f"small-j rate {rate:.3f}, r2 {r2:.4f}"
     )
     assert report(6, ok, "d1 exponential decay: " + "; ".join(results))
 

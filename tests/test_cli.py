@@ -238,6 +238,10 @@ def test_config_key_the_command_does_not_read_is_usage_error(tmp_path, capsys, a
     (["evolve", "--two-j", "4", "--initial", "fock:m=top", "--times", "lin:0:3"], None, "times"),
     (["evolve", "--two-j", "4", "--initial", "fock:m=top", "--times", "lin:0:top:5"], None, "times"),
     (["evolve", "--two-j", "4", "--initial", "fock:m=top", "--times", "lin:0:inf:5"], None, "times"),
+    # a decreasing or negative grid used to exit 1 with a line that did not name the key
+    (["evolve", "--two-j", "4", "--initial", "fock:m=top", "--times", "lin:3:0:5"], None, "times"),
+    (["evolve", "--two-j", "4", "--initial", "fock:m=top", "--times", "lin:-1:3:5"], None, "times"),
+    (["evolve", "--two-j", "4", "--initial", "fock:m=top", "--times", "log:1:0.1:3"], None, "times"),
     (["evolve", "--two-j", "4", "--initial", "fock:m=top"], "cross_check_max_two_j=1.5\n", "cross_check_max_two_j"),
     # selector values are finite; m=top is the one way to write the top state
     (["evolve", "--two-j", "4", "--initial", "coherent:theta=nan"], None, "initial"),
@@ -247,7 +251,8 @@ def test_config_key_the_command_does_not_read_is_usage_error(tmp_path, capsys, a
     (["evolve", "--two-j", "4", "--initial", "fock:m=nan"], None, "initial"),
     (["evolve", "--two-j", "4", "--initial", "fock:m=inf"], None, "initial"),
 ], ids=["p-abc", "m-x", "two_j-4.5", "p-top", "p-1/0", "jobs-abc", "config-h-abc", "gamma_bound-zz",
-        "times-3-parts", "times-top", "times-inf", "config-cross_check", "theta-nan", "theta-inf", "a-nan", "b-inf",
+        "times-3-parts", "times-top", "times-inf", "times-decreasing", "times-negative", "times-log-decreasing",
+        "config-cross_check", "theta-nan", "theta-inf", "a-nan", "b-inf",
         "m-nan", "m-inf"])
 def test_value_its_key_cannot_parse_is_usage_error(tmp_path, capsys, argv, cfg, key):
     if cfg is not None:
@@ -659,6 +664,18 @@ def test_evolve_accepts_a_grid_that_repeats_a_time(tmp_path, argv):
     assert len(ts) == 1
     for label in {r[-1] for r in rows}:
         assert len({r[1] for r in rows if r[-1] == label}) == 1
+
+
+@pytest.mark.parametrize("two_j,grid,t", [("40", "lin:0:1e6:3", 500000.0), ("1", "lin:0:3:3", 1.5)])
+def test_evolve_slowdown_where_the_theory_is_zero_is_one_line_error(tmp_path, capsys, two_j, grid, t):
+    # the relative deviation divides by the theory curve: it underflows to 0 at 2j = 40, and at
+    # 2j = 1 it crosses 0 on the midpoint row, which the deviation fit reads; both wrote +-inf rows
+    rc = main(["evolve", "--two-j", two_j, "--p", "0.5", "--initial", "hp-doublet:a=0:b=1/6", "--times", grid,
+               "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert one_line_error(capsys) == (f"error: theory curve is 0 at t={t!r} (two_j={two_j}): "
+                                      "the relative deviation is undefined there\n")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("argv,message", [

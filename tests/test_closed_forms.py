@@ -10,16 +10,23 @@ from spinbath.spectra import _band_scale, diagonalize, eigenvalues_only, kernel_
 from spinbath.verification import multiset_match_error
 
 
+def table_entry(tri, m):
+    """The entry of triangular_solution's table at the label m."""
+    (k,) = np.flatnonzero(np.abs(tri.m_labels - m) < 1e-9)
+    return tri.eigenvalues[k]
+
+
 def test_triangular_eigenvalue_examples():
-    params = ModelParams(two_j=2, h=1.0, gamma=1.0, p=1.0)
-    assert cf.triangular_eigenvalue(params, -1, 0) == pytest.approx(0.0, abs=1e-14)
-    assert cf.triangular_eigenvalue(params, 0, 0) == pytest.approx(-2.0, abs=1e-14)
-    assert cf.triangular_eigenvalue(params, 1, 0) == pytest.approx(-2.0, abs=1e-14)
+    tri = cf.triangular_solution(ModelParams(two_j=2, h=1.0, gamma=1.0, p=1.0), 0)
+    assert tri.m_labels.tolist() == [-1.0, 0.0, 1.0]
+    assert table_entry(tri, -1) == pytest.approx(0.0, abs=1e-14)
+    assert table_entry(tri, 0) == pytest.approx(-2.0, abs=1e-14)
+    assert table_entry(tri, 1) == pytest.approx(-2.0, abs=1e-14)
 
 
 def test_triangular_requires_full_polarization():
     with pytest.raises(ValueError):
-        cf.triangular_eigenvalue(ModelParams(two_j=2, p=0.5), 0, 0)
+        cf.triangular_solution(ModelParams(two_j=2, p=0.5), 0)
 
 
 def test_triangular_distinct_count_j20():
@@ -45,8 +52,8 @@ def test_pairing_involution_and_exceptions():
             tri = cf.triangular_solution(params, M)
             for m, partner in tri.pairing.items():
                 assert tri.pairing[partner] == pytest.approx(m)
-                lam_m = cf.triangular_eigenvalue(params, m, M)
-                lam_p = cf.triangular_eigenvalue(params, partner, M)
+                lam_m = table_entry(tri, m)
+                lam_p = table_entry(tri, partner)
                 assert lam_m == pytest.approx(lam_p, abs=1e-12)
             # extremal exception: m = -j+M for M >= 0, m = -j for M <= 0 at
             # p = +1; the p = -1 case is the mirror image
@@ -70,7 +77,7 @@ def test_triangular_eigenvector_residuals():
         assert labels
         for m_label in labels:
             vec = cf.triangular_eigenvector(params, m_label, M)
-            lam = cf.triangular_eigenvalue(params, m_label, M)
+            lam = table_entry(tri, m_label)
             res = np.linalg.norm(op.matvec(vec) - lam * vec)
             assert res <= 1e-9 * _band_scale(op) * np.linalg.norm(vec)
 
@@ -97,7 +104,7 @@ def test_kernel_dimension_one_at_doublets():
     tri = cf.triangular_solution(params, 0)
     for m, q in tri.pairing.items():
         if m < q:
-            assert kernel_dimension(op, cf.triangular_eigenvalue(params, m, 0)) == 1
+            assert kernel_dimension(op, table_entry(tri, m)) == 1
 
 
 def test_o3_eigenvalue_examples():
@@ -209,7 +216,8 @@ def _tl_generator(p, nmax, gamma=1.0):
 
 def test_hp_states_polarization_limit():
     hp = cf.hp_states(ModelParams(two_j=40, p=0.98))
-    assert hp.alpha == pytest.approx(0.02 / 1.98)
+    # geometric ratio alpha = (1 - p)/(1 + p)
+    assert hp.steady_state[1] / hp.steady_state[0] == pytest.approx(0.02 / 1.98)
     assert hp.steady_state[0] > 0.98
     assert hp.steady_state.argmax() == 0  # concentrated on m = -j
 
@@ -222,8 +230,7 @@ def test_hp_states_domain():
 
 def test_hp_omega_values():
     p = 0.5
-    hp = cf.hp_states(ModelParams(two_j=20, p=p))
-    om = hp.omegas
+    om = cf._omega_coefficients(p, 20)
     assert om[0] == 1.0
     assert om[1] == pytest.approx(-(1 + 2 * p) / (1 + p))
     assert om[2] == pytest.approx(p / (1 + p) ** 2)
@@ -257,15 +264,9 @@ def test_hp_lambda1_matches_finite_size_doublet():
     hp = cf.hp_states(ModelParams(two_j=320, p=0.5))
     dec = diagonalize(build_sector(ModelParams(two_j=320, p=0.5), 0))
     assert hp.lambda1 == pytest.approx(-1.0)
+    assert cf.hp_states(ModelParams(two_j=20, gamma=1.5, p=0.5)).lambda1 == pytest.approx(-1.5)
     assert abs(dec.eigenvalues[1].real - hp.lambda1.real) < 0.01
     assert abs(dec.eigenvalues[2].real - hp.lambda1.real) < 0.01
-
-
-def test_hp_doublet_tower():
-    hp = cf.hp_states(ModelParams(two_j=20, gamma=1.5, p=0.5))
-    assert hp.doublet_eigenvalue(0) == 0.0
-    assert hp.doublet_eigenvalue(1) == hp.lambda1 == pytest.approx(-1.5)
-    assert hp.doublet_eigenvalue(3) == pytest.approx(-4.5)
 
 
 def test_hp_mirror_negative_p():
@@ -277,7 +278,6 @@ def test_hp_mirror_negative_p():
 
 def test_thermal_ss_p0():
     th = cf.thermal_ss(ModelParams(two_j=8, p=0.0))
-    assert th.beta == pytest.approx(0.0)
     assert th.jz == pytest.approx(0.0, abs=1e-14)
     assert np.allclose(th.coefficients, 1.0 / 9)
 
@@ -300,9 +300,11 @@ def test_thermal_ss_beta_partition_function():
     th = cf.thermal_ss(params)
     j = params.j
     ms = -j + np.arange(params.hilbert_dim)
-    Z_direct = np.sum(np.exp(th.beta * params.h * ms))
-    assert th.Z == pytest.approx(Z_direct, rel=1e-12)
-    jz_direct = np.sum(ms * np.exp(th.beta * params.h * ms)) / Z_direct
+    # rho_SS = exp(beta h Jz)/Z with exp(beta h) = (1 - p)/(1 + p)
+    beta_h = math.log((1 - params.p) / (1 + params.p))
+    Z_direct = np.sum(np.exp(beta_h * ms))
+    assert th.coefficients == pytest.approx(np.exp(beta_h * ms) / Z_direct, rel=1e-12)
+    jz_direct = np.sum(ms * np.exp(beta_h * ms)) / Z_direct
     assert th.jz == pytest.approx(jz_direct, rel=1e-12)
 
 
@@ -370,15 +372,3 @@ def test_ep_halflife_solves_the_envelope_to_rounding():
             assert abs(t - root) <= 1e-15 * root
     assert cf.ep_halflife(-1e-308, True) == math.inf  # the root lies past the double range
 
-
-@pytest.mark.parametrize("p", [1.0, -1.0])
-@pytest.mark.parametrize("gamma0", [0.0, 0.7])
-def test_triangular_table_is_the_per_label_eigenvalue(p, gamma0):
-    # triangular_solution evaluates the whole table as one array expression: bitwise the scalar
-    # triangular_eigenvalue of each label, in every sector
-    for two_j in range(1, 81):
-        params = ModelParams(two_j=two_j, p=p, gamma0=gamma0, h=1.3)
-        for M in range(-two_j, two_j + 1):
-            tri = cf.triangular_solution(params, M)
-            per_label = np.array([cf.triangular_eigenvalue(params, m, M) for m in tri.m_labels])
-            assert tri.eigenvalues.tobytes() == per_label.tobytes()

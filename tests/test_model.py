@@ -90,7 +90,6 @@ def test_params_dimensions():
     params = ModelParams(two_j=5)
     assert params.j == 2.5
     assert params.hilbert_dim == 6
-    assert params.liouville_dim == 36
 
 
 def test_ladder_array_ends_vanish_exactly():

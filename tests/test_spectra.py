@@ -604,17 +604,22 @@ def test_structured_matches_qr_at_small_j():
 
 def test_distance_identical_and_orthogonal():
     sec = build_sector(ModelParams(two_j=2, p=0.0), 0).sector
+
+    def definition(V):
+        # d_N = 1 - |<N+1|N>|
+        return np.array([1.0 - abs(np.vdot(V[:, N + 1], V[:, N])) for N in range(V.shape[1] - 1)])
+
     V = np.eye(3, dtype=complex)
     dec = sp.SpectralDecomposition(
         sector=sec, eigenvalues=np.array([0, -1, -3], complex),
-        right_eigenvectors=V, residual_norms=np.zeros(3), operator_scale=1.0,
+        right_eigenvectors=V, residual_norms=np.zeros(3), operator_scale=1.0, distances=definition(V),
     )
     assert sp.eigenvector_distance(dec, 0) == pytest.approx(1.0)
     V2 = V.copy()
     V2[:, 1] = V2[:, 0]
     dec2 = sp.SpectralDecomposition(
         sector=sec, eigenvalues=dec.eigenvalues, right_eigenvectors=V2,
-        residual_norms=np.zeros(3), operator_scale=1.0,
+        residual_norms=np.zeros(3), operator_scale=1.0, distances=definition(V2),
     )
     assert sp.eigenvector_distance(dec2, 0) == pytest.approx(0.0)
 
@@ -651,14 +656,12 @@ def test_ep_scan_matches_doublet_walk(two_j, p, M, gamma):
     # the walk by its definition: stop at the first doublet (N, N+1) with d_N >= gamma
     dec = dec_for(two_j, p, M)
     d = sp.pair_distances(dec)
-    paired, prec = [], None
+    prec = None
     for N in range(1, dec.dim - 1, 2):
         if d[N] >= gamma:
             prec = N + 1
             break
-        paired.append((N, N + 1))
     res = sp.ep_scan(dec, gamma)
-    assert res.paired_indices == paired
     assert res.precursor_index == prec
     assert res.precursor == (None if prec is None else complex(dec.eigenvalues[prec]))
 
@@ -686,9 +689,12 @@ def test_d1_strictly_decreases_with_j():
 
 
 def test_ep_scan_p0_no_pairs():
-    res = sp.ep_scan(dec_for(20, 0.0), 1e-3)
-    assert res.paired_indices == []
+    dec = dec_for(20, 0.0)
+    res = sp.ep_scan(dec, 1e-3)
+    # the first doublet (1, 2) is open, so none is paired
+    assert sp.pair_distances(dec)[1] >= 1e-3
     assert res.precursor_index == 2
+    assert res.precursor == complex(dec.eigenvalues[2])
 
 
 def test_ep_scan_p1_all_pairs_coalesced():
@@ -699,7 +705,7 @@ def test_ep_scan_p1_all_pairs_coalesced():
         assert d[2 * n - 1] <= 1e-12
     res = sp.ep_scan(dec, 1e-6)
     assert res.precursor is None
-    assert len(res.paired_indices) == (dec.dim - 1) // 2
+    assert res.precursor_index is None
 
 
 def test_ep_scan_precursor_near_critical_value():
@@ -754,15 +760,6 @@ def test_fit_exponential_exact():
     assert fit.exponent == pytest.approx(-2.0, abs=1e-12)
     fit = sp.fit_exponential(xs, np.full_like(xs, 2.7))
     assert fit.exponent == pytest.approx(0.0, abs=1e-12)
-
-
-def test_doublet_distance_decay_fit():
-    make = lambda two_j: ModelParams(two_j=two_j, p=0.5)
-    js, ds = sp.doublet_distance_decay(make, [2 * j for j in range(10, 61)])
-    assert len(js) >= 3
-    fit = sp.fit_exponential(js, ds)
-    assert fit.exponent < 0
-    assert fit.r_squared > 0.98
 
 
 def test_density_of_states_flat_at_p0():
