@@ -371,4 +371,3 @@ def test_ep_halflife_solves_the_envelope_to_rounding():
             root = mpmath.findroot(lambda s: (1 + s) * mpmath.exp(lam * s) - mpmath.mpf(1) / 2, t)
             assert abs(t - root) <= 1e-15 * root
     assert cf.ep_halflife(-1e-308, True) == math.inf  # the root lies past the double range
-
