@@ -264,9 +264,18 @@ def test_hp_lambda1_matches_finite_size_doublet():
     hp = cf.hp_states(ModelParams(two_j=320, p=0.5))
     dec = diagonalize(build_sector(ModelParams(two_j=320, p=0.5), 0))
     assert hp.lambda1 == pytest.approx(-1.0)
-    assert cf.hp_states(ModelParams(two_j=20, gamma=1.5, p=0.5)).lambda1 == pytest.approx(-1.5)
     assert abs(dec.eigenvalues[1].real - hp.lambda1.real) < 0.01
     assert abs(dec.eigenvalues[2].real - hp.lambda1.real) < 0.01
+
+
+def test_hp_doublet_tower():
+    # lambda1 = -2|p|Gamma; the finite-j sector M = 0 holds 0, then the
+    # doublet at lambda1 and the next one at 2 lambda1
+    hp = cf.hp_states(ModelParams(two_j=20, gamma=1.5, p=0.5))
+    assert hp.lambda1 == pytest.approx(-1.5)
+    dec = diagonalize(build_sector(ModelParams(two_j=320, gamma=1.5, p=0.5), 0))
+    tower = [0.0, hp.lambda1.real, hp.lambda1.real, 2 * hp.lambda1.real, 2 * hp.lambda1.real]
+    assert np.allclose(dec.eigenvalues[:5].real, tower, atol=0.05)
 
 
 def test_hp_mirror_negative_p():

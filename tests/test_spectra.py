@@ -762,6 +762,19 @@ def test_fit_exponential_exact():
     assert fit.exponent == pytest.approx(0.0, abs=1e-12)
 
 
+def test_doublet_distance_decay_fit():
+    # d1(j) of sector M = 0 at p = 0.5, cut at the floor: the series scaling fits
+    def points():
+        for two_j in range(20, 121, 2):
+            yield two_j / 2, sp.eigenvector_distance(dec_for(two_j, 0.5), 1)
+
+    js, ds = sp.floor_cut(points())
+    assert len(js) >= 3
+    fit = sp.fit_exponential(js, ds)
+    assert fit.exponent < 0
+    assert fit.r_squared > 0.98
+
+
 def test_density_of_states_flat_at_p0():
     # rotor spacings give a flat-ish density: no interior bin above 3x median
     dec = dec_for(80, 0.0)
