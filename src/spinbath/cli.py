@@ -225,6 +225,10 @@ def cmd_evolve(args) -> int:
         raise UsageError("evolve takes a single --p value")
     two_js, (p,), times, out = cfg["two_j"], cfg["p"], cfg["times"], cfg["out"]
     name, kw = cfg["initial"]
+    if name == "coherent" and p != 0:
+        raise UsageError("coherent-state oscillation run requires p = 0")
+    if name == "hp-doublet" and not 0 < abs(p) < 1:
+        raise UsageError("slowdown experiment needs 0 < |p| < 1")
     trace_rows, extra_rows = [], []
     groups = []
 

@@ -11,7 +11,9 @@ Four solvable corners of the model:
     non-unitary Bogoliubov transformation uses u = (1+p)/(2 sqrt(p)),
     v = (1-p)/(2 sqrt(p)), ubar = vbar = 1/sqrt(p); these satisfy the
     commutator normalization [beta_i, betabar_j] = delta_ij identically
-    (u*ubar - v*vbar = 1), which fixes u's denominator to sqrt(p).
+    (u*ubar - v*vbar = 1), which fixes u's denominator to sqrt(p).  The
+    generalized eigenvector's expansion is summed in logs, so it holds at
+    every 2j.
   * any |p| < 1: the steady state is a thermal (geometric) diagonal state and
     annihilates the M = 0 sector operator exactly at finite j.
 """
@@ -112,24 +114,16 @@ def triangular_eigenvector(params: ModelParams, N: float, M: int) -> np.ndarray:
     lams = op.diag
     vec = np.zeros(sec.dim, dtype=complex)
     vec[k_N] = 1.0
-    if params.p > 0:
-        # lower[k] couples component m_{k+1} into m_k
-        for k in range(k_N - 1, -1, -1):
-            denom = lams[k_N] - lams[k]
-            if denom == 0:
-                raise DefectiveChainError(
-                    f"degenerate chain at m={ms[k]} for label N={N}, M={M}: kernel is one-dimensional"
-                )
-            vec[k] = op.lower[k] * vec[k + 1] / denom
-    else:
-        # p = -1: raising channel only; chain extends upward from the label
-        for k in range(k_N + 1, sec.dim):
-            denom = lams[k_N] - lams[k]
-            if denom == 0:
-                raise DefectiveChainError(
-                    f"degenerate chain at m={ms[k]} for label N={N}, M={M}: kernel is one-dimensional"
-                )
-            vec[k] = op.upper[k - 1] * vec[k - 1] / denom
+    # p = 1: lower[k] couples m_{k+1} into m_k, and the chain extends downward from the label;
+    # p = -1: upper[k-1] couples m_{k-1} into m_k (raising channel only), and it extends upward
+    step, band = (-1, op.lower) if params.p > 0 else (1, op.upper)
+    for k in range(k_N + step, -1 if step < 0 else sec.dim, step):
+        denom = lams[k_N] - lams[k]
+        if denom == 0:
+            raise DefectiveChainError(
+                f"degenerate chain at m={ms[k]} for label N={N}, M={M}: kernel is one-dimensional"
+            )
+        vec[k] = band[min(k, k - step)] * vec[k - step] / denom
     return vec
 
 
@@ -299,42 +293,55 @@ class HPStates:
     jordan_scale: float
 
 
-def _omega_coefficients(p: float, nmax: int) -> np.ndarray:
-    om = np.zeros(nmax + 1)
-    om[0] = 1.0
-    if nmax >= 1:
-        om[1] = -(1 + 2 * p) / (1 + p)
-    if nmax >= 2:
-        om[2] = p / (1 + p) ** 2
-    g = 2 * p / (1 + p)
-    for n in range(3, nmax + 1):
-        om[n] = om[2] * g ** (n - 2) / math.comb(n, 2)
-    return om
+_TERM_BLOCK = 1 << 14  # entries of _gen_eigvec_raw's (K, n) term table held at once
+_LOG_TINY = math.log(np.finfo(float).tiny)
+
+
+def _lfacts(n: int) -> np.ndarray:
+    """ln k! for k = 0..n, the values of _lfact."""
+    return np.array([_lfact(k) for k in range(n + 1)])
+
+
+def _log_omega(p: float, nmax: int) -> tuple[np.ndarray, np.ndarray]:
+    """log|Omega_n| and sign(Omega_n), n = 0..nmax: Omega_0 = 1, Omega_1 = -(1+2p)/(1+p) and, for n >= 2,
+    Omega_n = Omega_2 g^(n-2)/C(n,2) with Omega_2 = p/(1+p)^2, g = 2p/(1+p)."""
+    n = np.arange(nmax + 1)
+    log_om = np.zeros(nmax + 1)
+    log_om[1] = math.log((1 + 2 * p) / (1 + p))
+    log_om[2:] = (math.log(p / (1 + p) ** 2) + (n[2:] - 2) * math.log(2 * p / (1 + p))
+                  - np.log(n[2:] * (n[2:] - 1) / 2))
+    return log_om, np.where(n == 1, -1.0, 1.0)
 
 
 def _gen_eigvec_raw(p: float, nmax: int) -> np.ndarray:
     """Quasi-vacuum expansion of the printed coefficients: sum_n Omega_n/n! (b1+ b2+)^n |0,0>.
 
-    Coefficient on occupation K is sum_n Omega_n C(K,n) alpha^(K-n).  The
-    individual binomial factors overflow long before the damped sum does, so
-    each term is assembled in log space with its sign.
+    Coefficient on occupation K is sum_{n<=K} Omega_n C(K,n) alpha^(K-n) (_log_omega).
+    Omega_n and the binomials leave the double range long before the damped sum does,
+    so every term is formed in logs with its sign and each entry is a log-sum-exp over
+    its terms.  The (K, n) table is summed in blocks of rows of at most _TERM_BLOCK
+    entries (one row where a row is longer), each cut to the columns n <= its last K.
     """
-    om = _omega_coefficients(p, nmax)
-    log_om = np.full(nmax + 1, -math.inf)
-    sign_om = np.zeros(nmax + 1)
-    nz = om != 0.0
-    log_om[nz] = np.log(np.abs(om[nz]))
-    sign_om[nz] = np.sign(om[nz])
-    la = math.log((1 - p) / (1 + p))
+    log_om, sign_om = _log_omega(p, nmax)
     ns = np.arange(nmax + 1)
-    lfacts = np.array([_lfact(int(n)) for n in ns])
-    out = np.zeros(nmax + 1)
-    for K in range(nmax + 1):
-        lterm = log_om[: K + 1] + (lfacts[K] - lfacts[: K + 1] - lfacts[K::-1]) + (K - ns[: K + 1]) * la
-        peak = lterm.max()
-        if peak == -math.inf:
-            continue
-        out[K] = math.exp(peak) * float(np.sum(sign_om[: K + 1] * np.exp(lterm - peak)))
+    la = math.log((1 - p) / (1 + p))
+    lf = _lfacts(nmax)
+    # log of term (K, n) = row[K] + col[n] - ln (K-n)!; lf_ext[K - n] is +inf for n > K
+    row = lf + ns * la
+    col = log_om - lf - ns * la
+    lf_ext = np.concatenate([lf, np.full(nmax, math.inf)])
+    out = np.empty(nmax + 1)
+    rows = max(1, _TERM_BLOCK // (nmax + 1))
+    for k0 in range(0, nmax + 1, rows):
+        k1 = min(k0 + rows, nmax + 1)
+        lterm = col[:k1] - lf_ext[ns[k0:k1, None] - ns[:k1]]
+        peak = lterm.max(axis=1)
+        lterm -= peak[:, None]
+        # a term below the smallest normal double relative to its row's peak cannot move the sum;
+        # it is 0 here because exp takes 6 to 150 times longer on an underflowing argument
+        terms = np.zeros_like(lterm)
+        np.exp(lterm, out=terms, where=lterm > _LOG_TINY)
+        out[k0:k1] = np.exp(row[k0:k1] + peak) * (sign_om[:k1] * terms).sum(axis=1)
     return out
 
 
@@ -342,8 +349,10 @@ def hp_states(params: ModelParams) -> HPStates:
     """Steady state, slowest doublet eigenvector, and its generalized partner.
 
     Valid for 0 < p < 1; negative p is handled by the m -> -m mirror.  The
-    jordan_scale is (1+p)/2 rescaled by the Euclidean normalization, exact for
-    the infinite bosonic tower (checked symbolically order by order).
+    steady state is thermal_ss's.  The generalized eigenvector is summed in
+    logs (_gen_eigvec_raw), so it holds at every 2j.  The jordan_scale is
+    (1+p)/2 rescaled by the Euclidean normalization, exact for the infinite
+    bosonic tower (checked symbolically order by order).
     """
     p = params.p
     if not 0 < abs(p) < 1:
@@ -352,8 +361,6 @@ def hp_states(params: ModelParams) -> HPStates:
     nmax = params.two_j
     alpha = (1 - pa) / (1 + pa)
     n = np.arange(nmax + 1)
-    ss = alpha**n
-    ss = ss / ss.sum()
     eig = alpha**n * (2 * pa * n - (1 - pa))
     eig *= 2 / (1 - pa**2)  # printed compact normalization
     gen = _gen_eigvec_raw(pa, nmax)
@@ -361,10 +368,10 @@ def hp_states(params: ModelParams) -> HPStates:
     eigh_ = eig / np.linalg.norm(eig)
     genh = gen / np.linalg.norm(gen)
     if p < 0:
-        ss, eigh_, genh = ss[::-1].copy(), eigh_[::-1].copy(), genh[::-1].copy()
+        eigh_, genh = eigh_[::-1].copy(), genh[::-1].copy()
     return HPStates(
         lambda1=complex(-2 * pa * params.gamma),
-        steady_state=ss,
+        steady_state=thermal_ss(params).coefficients,
         eigvec=eigh_,
         gen_eigvec=genh,
         jordan_scale=float(kappa),
@@ -400,8 +407,7 @@ def thermal_ss(params: ModelParams) -> ThermalSS:
     # weights alpha^(m+j), stably normalized through logs for large j
     expo = np.arange(N) * math.log(alpha)
     w = np.exp(expo - expo.max())
-    Zshift = w.sum()
-    coef = w / Zshift
+    coef = w / w.sum()
     ms = -j + np.arange(N)
     jz = float(np.sum(ms * coef))
     return ThermalSS(jz=jz, coefficients=coef)

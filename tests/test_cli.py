@@ -641,13 +641,18 @@ def test_evolve_btc_failed_cross_check_is_one_line_error(tmp_path, capsys, monke
 
 
 def test_evolve_btc_rejects_nonzero_p(tmp_path, capsys):
-    rc = main([
-        "evolve", "--two-j", "8", "--p", "0.5", "--initial", "coherent:theta=1:phi=0",
-        "--out", str(tmp_path / "out"),
-    ])
-    assert rc == 1
-    assert one_line_error(capsys) == "error: coherent-state oscillation run requires p = 0\n"
-    assert not (tmp_path / "out").exists()
+    # a selector that cannot run at the given p is a usage error, like any other bad input
+    cases = [
+        ("0.5", "coherent:theta=1:phi=0", "coherent-state oscillation run requires p = 0"),
+        ("0", "hp-doublet:a=0:b=1/6", "slowdown experiment needs 0 < |p| < 1"),
+        ("1", "hp-doublet:a=0:b=1/6", "slowdown experiment needs 0 < |p| < 1"),
+        ("-1", "hp-doublet:a=0:b=1/6", "slowdown experiment needs 0 < |p| < 1"),
+    ]
+    for p, initial, message in cases:
+        rc = main(["evolve", "--two-j", "8", "--p", p, "--initial", initial, "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert one_line_error(capsys) == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("argv", [

@@ -230,11 +230,13 @@ def test_hp_states_domain():
 
 def test_hp_omega_values():
     p = 0.5
-    om = cf._omega_coefficients(p, 20)
+    log_om, sign = cf._log_omega(p, 20)
+    om = sign * np.exp(log_om)
     assert om[0] == 1.0
     assert om[1] == pytest.approx(-(1 + 2 * p) / (1 + p))
     assert om[2] == pytest.approx(p / (1 + p) ** 2)
-    assert om[5] == pytest.approx(om[2] * (2 * p / (1 + p)) ** 3 / math.comb(5, 2))
+    for n in range(3, 21):
+        assert om[n] == pytest.approx(om[2] * (2 * p / (1 + p)) ** (n - 2) / math.comb(n, 2), rel=1e-14)
 
 
 @pytest.mark.parametrize("p", [0.3, 0.5, 0.7])

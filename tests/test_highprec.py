@@ -6,7 +6,9 @@ tridiagonal and eigenvectors by inverse iteration.  Here the same sector is
 solved in mpmath (Sturm bisection on the symmetric form, then the exact
 three-term recursion for each eigenvector) and the eigenvalue ladder and
 coalescence distances are compared.  The propagated states are compared with
-mpmath exponentials of the same sector matrices at every output time.
+mpmath exponentials of the same sector matrices at every output time.  The
+closed forms that a command reads at a size the user chooses (thermal_ss and
+hp_states) are compared with mpmath sums at 2j = 8000.
 Skipped when mpmath is unavailable.
 """
 
@@ -14,8 +16,9 @@ import pytest
 
 mp_mod = pytest.importorskip("mpmath")
 import numpy as np
-from mpmath import expm as mexpm, matrix as mmatrix, mp, mpc, mpf, sqrt as msqrt
+from mpmath import binomial, expm as mexpm, matrix as mmatrix, mp, mpc, mpf, sqrt as msqrt
 
+from spinbath.closed_forms import _gen_eigvec_raw, hp_states, thermal_ss
 from spinbath.dynamics import coherent_state, propagate
 from spinbath.liouvillian import build_sector
 from spinbath.model import ModelParams
@@ -191,3 +194,65 @@ def test_banded_pade_propagation_against_highprec(p, gamma0):
             for s, w in zip(states, want):
                 worst = max(worst, float(np.abs(s.sectors[M] - w).max()))
     assert worst <= 1e-12
+
+
+def _mp_gen_raw(p, K):
+    """sum_n Omega_n C(K,n) alpha^(K-n) for the float p, each term for n >= 2 from the last."""
+    p = mpf(p)
+    a = (1 - p) / (1 + p)
+    g = 2 * p / (1 + p)
+    total = a**K - (1 + 2 * p) / (1 + p) * K * a ** (K - 1)
+    term = p / (1 + p) ** 2 * binomial(K, 2) * a ** (K - 2)
+    ratio = g / a
+    for n in range(2, K + 1):
+        total += term
+        term *= ratio * ((n - 1) * (K - n)) / (n + 1) ** 2
+    return total
+
+
+@pytest.mark.parametrize("p, Ks", [(0.5, (2000, 2600, 3600)), (0.225, (1700, 2000))])
+def test_gen_eigvec_raw_against_highprec(p, Ks):
+    # Omega_n = Omega_2 g^(n-2)/C(n,2) underflows from n = 1801 at p = 0.5; a sum that
+    # drops those terms is off by more than 1e-10 from K = 2482 (p = 0.5) and 1652 (p = 0.225)
+    raw = _gen_eigvec_raw(p, max(Ks))
+    with mp.workdps(30):
+        for K in Ks:
+            want = float(_mp_gen_raw(p, K))
+            assert abs(raw[K] - want) <= 1e-10 * abs(want), K
+
+
+@pytest.mark.parametrize("p", [0.05, 0.2, 0.5, 0.9])
+def test_large_j_closed_forms_against_highprec(p):
+    # every entry whose true value is a normal double agrees; the others stay below that range
+    two_j = 8000
+    params = ModelParams(two_j=two_j, p=p)
+    th = thermal_ss(params)
+    hp = hp_states(params)
+    assert np.array_equal(hp.steady_state, th.coefficients)
+    tiny = np.finfo(float).tiny
+    with mp.workdps(30):
+        pm = mpf(p)
+        a = (1 - pm) / (1 + pm)
+        powers = [mpf(1)]
+        for _ in range(two_j):
+            powers.append(powers[-1] * a)
+        z = mp.fsum(powers)
+        ss = np.array([float(x / z) for x in powers])
+        jz = float(mp.fdot(range(two_j + 1), powers) / z - mpf(two_j) / 2)
+        eig = [x * (2 * pm * n - (1 - pm)) for n, x in enumerate(powers)]
+        norm = msqrt(mp.fdot(eig, eig))
+        eig = np.array([float(x / norm) for x in eig])
+        # eigvec's two terms cancel where 2pn = 1 - p, so each entry is held to the scale of its terms
+        eig_scale = ss * float(z / norm) * (2 * p * np.arange(two_j + 1) + 1 - p)
+        Ks = (1, 2, 10, 100, 1000, two_j)
+        gen = np.array([float(_mp_gen_raw(p, K)) for K in Ks])
+    assert abs(th.jz - jz) <= 1e-10 * abs(jz)
+    normal = ss >= tiny
+    assert np.all(np.abs(th.coefficients[normal] - ss[normal]) <= 1e-10 * ss[normal])
+    assert np.all(th.coefficients[~normal] < 2 * tiny)
+    normal = np.abs(eig) >= tiny
+    assert np.all(np.abs(hp.eigvec[normal] - eig[normal]) <= 1e-10 * eig_scale[normal])
+    assert np.all(np.abs(hp.eigvec[~normal]) < 2 * tiny)
+    # gen_eigvec is the raw sum over its Euclidean norm, and the raw entry K = 0 is 1
+    ratios = hp.gen_eigvec[list(Ks)] / hp.gen_eigvec[0]
+    assert np.all(np.abs(ratios - gen) <= 1e-10 * np.abs(gen))
