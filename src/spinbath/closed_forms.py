@@ -2,11 +2,14 @@
 
 Four solvable corners of the model:
   * |p| = 1: the sector operator is triangular; eigenvalues are its diagonal
-    and eigenvectors follow from a one-sided recursion.  All non-extremal
-    eigenvalues pair up exactly and each pair carries a single eigenvector.
+    and eigenvectors follow from a one-sided recursion, whose products are
+    summed in logs, so they hold at every 2j.  All non-extremal eigenvalues
+    pair up exactly and each pair carries a single eigenvector.
   * p = 0: the generator closes an O(3) algebra; eigenvalues are labelled by
     rotor quantum numbers (K, M) and the eigenmatrices decouple through
-    Clebsch-Gordan coefficients, giving closed-form observable dynamics.
+    Clebsch-Gordan coefficients, giving closed-form observable dynamics.  The
+    coefficients come from an exact integer Racah sum, so they hold at every
+    2j.
   * large j, 0 < |p| < 1: a bosonic expansion around the steady state.  The
     non-unitary Bogoliubov transformation uses u = (1+p)/(2 sqrt(p)),
     v = (1-p)/(2 sqrt(p)), ubar = vbar = 1/sqrt(p); these satisfy the
@@ -22,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -101,29 +103,36 @@ def triangular_eigenvector(params: ModelParams, N: float, M: int) -> np.ndarray:
 
     For p = 1 the chain terminates at m = N and extends downward through
     rho_m = prod_{i=m}^{N-1} c_{i+1} / (lambda_N - lambda_i); the p = -1 case
-    is the mirror construction.  A degenerate denominator means the requested
-    label is the defective member of a pair.
+    is the mirror construction.  The products are one cumulative sum of log
+    ratios and one sign product, scaled so that the largest |entry| is 1, so
+    the vector stays finite at every 2j.  A degenerate denominator means the
+    requested label is the defective member of a pair.
     """
     _require_full_polarization(params)
     sec = sector_basis(params, M)
-    ms = sec.m_values()
     k_N = int(round(N - sec.m_min))
     if not 0 <= k_N < sec.dim:
         raise ValueError(f"label N={N} outside sector M={M}")
     op = build_sector(params, M)
-    lams = op.diag
-    vec = np.zeros(sec.dim, dtype=complex)
-    vec[k_N] = 1.0
     # p = 1: lower[k] couples m_{k+1} into m_k, and the chain extends downward from the label;
     # p = -1: upper[k-1] couples m_{k-1} into m_k (raising channel only), and it extends upward
-    step, band = (-1, op.lower) if params.p > 0 else (1, op.upper)
-    for k in range(k_N + step, -1 if step < 0 else sec.dim, step):
-        denom = lams[k_N] - lams[k]
-        if denom == 0:
-            raise DefectiveChainError(
-                f"degenerate chain at m={ms[k]} for label N={N}, M={M}: kernel is one-dimensional"
-            )
-        vec[k] = band[min(k, k - step)] * vec[k - step] / denom
+    if params.p > 0:
+        chain = np.arange(k_N - 1, -1, -1)
+        coupling = op.lower[chain]
+    else:
+        chain = np.arange(k_N + 1, sec.dim)
+        coupling = op.upper[chain - 1]
+    denom = op.diag[k_N] - op.diag[chain]
+    zero = np.flatnonzero(denom == 0)
+    if zero.size:
+        raise DefectiveChainError(
+            f"degenerate chain at m={sec.m_values()[chain[zero[0]]]} for label N={N}, M={M}: "
+            "kernel is one-dimensional"
+        )
+    log_mag = np.concatenate(([0.0], np.cumsum(np.log(np.abs(coupling)) - np.log(np.abs(denom)))))
+    sign = np.concatenate(([1.0], np.cumprod(np.sign(coupling) * np.sign(denom))))
+    vec = np.zeros(sec.dim, dtype=complex)
+    vec[np.concatenate(([k_N], chain))] = sign * np.exp(log_mag - log_mag.max())
     return vec
 
 
@@ -139,11 +148,6 @@ def o3_eigenvalue(params: ModelParams, K: int, M: int) -> complex:
     return complex(1j * h * M + (G / (2 * j)) * M**2 - (G / (2 * j)) * K * (K + 1))
 
 
-@lru_cache(maxsize=None)
-def _lfact(n: int) -> float:
-    return math.lgamma(n + 1)
-
-
 def _as_two(x, name: str) -> int:
     two = 2 * x
     if abs(two - round(two)) > 1e-9:
@@ -151,8 +155,20 @@ def _as_two(x, name: str) -> int:
     return int(round(two))
 
 
-@lru_cache(maxsize=1 << 20)
 def _cg_two(tj1: int, tm1: int, tj2: int, tm2: int, tJ: int, tM: int) -> float:
+    """<j1 m1, j2 m2 | J M> from twice each label, with the Racah sum in exact integers.
+
+    With a, b, c = j1 + j2 - J, j1 - j2 + J, J - j1 + j2 and n = j1 + j2 + J
+    the coefficient is S sqrt(P/Q), all in binomials:
+    S = sum_k (-1)^k C(a, k) C(b, j1 - m1 - k) C(c, j2 + m2 - k),
+    P = (2J + 1) C(2j1, a) C(2j2, a) and
+    Q = (n + 1) C(n, a) C(2j1, j1 + m1) C(2j2, j2 + m2) C(2J, J + M).
+    The terms of S cancel by tens of digits at large j (about 30 at
+    2j = 320), so it is summed exactly.  The one float is sqrt(S^2 P/Q),
+    formed from a correctly rounded integer quotient scaled by a power of
+    two, so a coefficient keeps its digits where its square would leave the
+    double range.
+    """
     if tm1 + tm2 != tM:
         return 0.0
     if tJ < abs(tj1 - tj2) or tJ > tj1 + tj2 or (tj1 + tj2 + tJ) % 2 != 0:
@@ -161,44 +177,26 @@ def _cg_two(tj1: int, tm1: int, tj2: int, tm2: int, tJ: int, tM: int) -> float:
         return 0.0
     if (tj1 + tm1) % 2 or (tj2 + tm2) % 2 or (tJ + tM) % 2:
         return 0.0
-
-    def half(x: int) -> int:
-        return x // 2
-
-    a = half(tj1 + tj2 - tJ)
-    b = half(tj1 - tj2 + tJ)
-    c = half(-tj1 + tj2 + tJ)
-    d = half(tj1 + tj2 + tJ) + 1
-    j1mm1 = half(tj1 - tm1)
-    j1pm1 = half(tj1 + tm1)
-    j2mm2 = half(tj2 - tm2)
-    j2pm2 = half(tj2 + tm2)
-    JmM = half(tJ - tM)
-    JpM = half(tJ + tM)
-    pref = 0.5 * (
-        math.log(tJ + 1.0)
-        + _lfact(a) + _lfact(b) + _lfact(c) - _lfact(d)
-        + _lfact(JmM) + _lfact(JpM)
-        + _lfact(j1mm1) + _lfact(j1pm1) + _lfact(j2mm2) + _lfact(j2pm2)
-    )
-    t1 = half(tJ - tj2 + tm1)
-    t2 = half(tJ - tj1 - tm2)
-    kmin = max(0, -t1, -t2)
-    kmax = min(a, j1mm1, j2pm2)
-    total = 0.0
-    for k in range(kmin, kmax + 1):
-        lt = (
-            _lfact(k) + _lfact(a - k) + _lfact(j1mm1 - k) + _lfact(j2pm2 - k)
-            + _lfact(t1 + k) + _lfact(t2 + k)
-        )
-        total += (-1) ** k * math.exp(pref - lt)
-    return total
+    a, b, c = (tj1 + tj2 - tJ) // 2, (tj1 - tj2 + tJ) // 2, (tj2 - tj1 + tJ) // 2
+    j1m, j2p = (tj1 - tm1) // 2, (tj2 + tm2) // 2
+    s = sum((-1) ** k * math.comb(a, k) * math.comb(b, j1m - k) * math.comb(c, j2p - k)
+            for k in range(max(0, j1m - b, j2p - c), min(a, j1m, j2p) + 1))
+    if s == 0:
+        return 0.0
+    n = (tj1 + tj2 + tJ) // 2
+    num = s * s * (tJ + 1) * math.comb(tj1, a) * math.comb(tj2, a)
+    den = ((n + 1) * math.comb(n, a) * math.comb(tj1, (tj1 + tm1) // 2) * math.comb(tj2, (tj2 + tm2) // 2)
+           * math.comb(tJ, (tJ + tM) // 2))
+    # |C| <= 1, so num <= den and e >= 0; (num 4^e)/den lies in [1/4, 2)
+    e = (den.bit_length() - num.bit_length()) // 2
+    return math.copysign(math.ldexp(math.sqrt((num << 2 * e) / den), -e), s)
 
 
 def clebsch_gordan(j1: float, m1: float, j2: float, m2: float, K: float, M: float) -> float:
-    """Condon-Shortley <j1 m1, j2 m2 | K M> via the Racah sum with log factorials.
+    """Condon-Shortley <j1 m1, j2 m2 | K M> from the Racah sum in exact integers (_cg_two).
 
-    Selection-rule violations return 0 rather than raising.
+    Within a few ulps of the exact value wherever that is a normal double, at
+    every j.  Selection-rule violations return 0 rather than raising.
     """
     return _cg_two(
         _as_two(j1, "j1"), _as_two(m1, "m1"),
@@ -231,46 +229,28 @@ def _observable_matrix(params: ModelParams, observable) -> np.ndarray:
 def o3_expectation(params: ModelParams, rho0, observable, t: float) -> float:
     """<O(t)> at p = 0 from the rotor spectrum and Clebsch-Gordan decoupling.
 
-    rho0 is a VectorizedDensityMatrix; the double sum reduces per sector M to
-    sum_K rho~_K O~_K exp(lambda_{K,M} t) with the sign-augmented Clebsch-
-    Gordan projections rho~ and O~.  For Jz and Jx this reproduces the simple
-    exponential and damped-cosine laws exactly at any finite j.
+    rho0 is a VectorizedDensityMatrix.  Per sector M, the signed coefficients
+    C[m, K] = (-1)^(j - m) <j m, j M-m | K M>, K = |M|..2j, form one
+    orthogonal matrix; with v the sector vector and o the offset-M diagonal
+    of the observable, the sector adds sum_K (v^T C)_K (o^T C)_K
+    exp(lambda_{K,M} t).  The coefficients come from an exact integer sum
+    (_cg_two), so this holds at every 2j; for Jz and Jx it reproduces the
+    simple exponential and damped-cosine laws.
     """
     if params.p != 0:
         raise ValueError(f"requires p = 0, got p={params.p}")
     two_j = params.two_j
     if rho0.two_j != two_j:
         raise ValueError("size mismatch between params and rho0")
-    j = params.j
     O = _observable_matrix(params, observable)
     total = 0.0 + 0.0j
     for M, vec in rho0.sectors.items():
-        sec = sector_basis(params, M)
-        ms = sec.m_values()
-        for K in range(abs(M), two_j + 1):
-            lam = o3_eigenvalue(params, K, M)
-            rho_K = 0.0 + 0.0j
-            for kk, coef in enumerate(vec):
-                if coef == 0:
-                    continue
-                m = ms[kk]
-                mp = m - M
-                sign = (-1) ** round(j - mp)
-                rho_K += coef * sign * _cg_two(two_j, int(round(2 * m)), two_j, -int(round(2 * mp)), 2 * K, 2 * M)
-            if rho_K == 0:
-                continue
-            O_K = 0.0 + 0.0j
-            for kk in range(sec.dim):
-                n = ms[kk]
-                npr = n - M
-                a = int(round(n + j))
-                bidx = int(round(npr + j))
-                o_el = O[bidx, a]
-                if o_el == 0:
-                    continue
-                sign = (-1) ** round(j - npr)
-                O_K += o_el * sign * _cg_two(two_j, int(round(2 * n)), two_j, -int(round(2 * npr)), 2 * K, 2 * M)
-            total += rho_K * O_K * np.exp(lam * t)
+        two_m = [int(round(2 * m)) for m in sector_basis(params, M).m_values()]
+        Ks = range(abs(M), two_j + 1)
+        C = np.array([[(-1) ** ((two_j - tm) // 2) * _cg_two(two_j, tm, two_j, 2 * M - tm, 2 * K, 2 * M)
+                       for K in Ks] for tm in two_m])
+        lam = np.array([o3_eigenvalue(params, K, M) for K in Ks])
+        total += np.sum((vec @ C) * (np.diagonal(O, M) @ C) * np.exp(lam * t))
     return float(total.real)
 
 
@@ -298,8 +278,8 @@ _LOG_TINY = math.log(np.finfo(float).tiny)
 
 
 def _lfacts(n: int) -> np.ndarray:
-    """ln k! for k = 0..n, the values of _lfact."""
-    return np.array([_lfact(k) for k in range(n + 1)])
+    """ln k! for k = 0..n."""
+    return np.array([math.lgamma(k + 1) for k in range(n + 1)])
 
 
 def _log_omega(p: float, nmax: int) -> tuple[np.ndarray, np.ndarray]:

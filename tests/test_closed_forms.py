@@ -82,6 +82,21 @@ def test_triangular_eigenvector_residuals():
             assert res <= 1e-9 * _band_scale(op) * np.linalg.norm(vec)
 
 
+@pytest.mark.parametrize("p", [1.0, -1.0])
+def test_triangular_eigenvector_finite_at_large_j(p):
+    # products of the chain's ratios in linear space overflow from 2j = 560 (p = 1, M = 0, label 51)
+    params = ModelParams(two_j=1000, p=p)
+    op = build_sector(params, 0)
+    tri = cf.triangular_solution(params, 0)
+    member = min if p > 0 else max  # the other member of each pair is the defective one
+    labels = list(tri.exceptions) + sorted(member(m, q) for m, q in tri.pairing.items())[::60]
+    for m_label in labels:
+        vec = cf.triangular_eigenvector(params, m_label, 0)
+        assert np.all(np.isfinite(vec)), m_label
+        res = np.linalg.norm(op.matvec(vec) - table_entry(tri, m_label) * vec)
+        assert res <= 1e-12 * _band_scale(op) * np.linalg.norm(vec), m_label
+
+
 def test_triangular_eigenvector_steady_state():
     # p=1, M=0 steady state terminates at m=-j with unit head
     params = ModelParams(two_j=6, p=1.0)
@@ -177,6 +192,14 @@ def test_cg_orthogonality_j20():
         assert s == pytest.approx(1.0 if K == Kp else 0.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("two_j", [80, 160])
+def test_cg_table_orthogonal_at_large_j(two_j):
+    # summed in floating point, the Racah sum gives |C^T C - I| = 8.2e-8 at 2j = 80 and 6.7e2 at 160
+    C = np.array([[cf.clebsch_gordan(two_j / 2, m / 2, two_j / 2, -m / 2, K, 0) for K in range(two_j + 1)]
+                  for m in range(-two_j, two_j + 1, 2)])
+    assert np.abs(C.T @ C - np.eye(two_j + 1)).max() <= 1e-12
+
+
 def test_o3_expectation_reduces_to_closed_laws():
     from spinbath.dynamics import coherent_state, expectation
 
@@ -202,6 +225,21 @@ def test_o3_expectation_t0_is_trace():
     O = O + O.T
     want = float(np.real(np.trace(rho.to_dense() @ O)))
     assert cf.o3_expectation(params, rho, O, 0.0) == pytest.approx(want, abs=1e-10)
+
+
+def test_o3_expectation_against_propagation_at_large_j():
+    # <Jz^2> of |m = 0> is exactly 0 at t = 0; Clebsch-Gordan coefficients summed in
+    # floating point gave 1.3e5 at 2j = 160
+    from spinbath.dynamics import fock_state, propagate
+
+    two_j = 160
+    params = ModelParams(two_j=two_j, p=0.0)
+    rho = fock_state(two_j, 0.0)
+    ms = -two_j / 2 + np.arange(two_j + 1)
+    ts = [0.0, 0.5, 3.0]
+    for t, state in zip(ts, propagate(params, rho, ts)):
+        want = float(np.sum(ms**2 * state.sectors[0].real))
+        assert cf.o3_expectation(params, rho, np.diag(ms**2), t) == pytest.approx(want, abs=1e-9)
 
 
 def _tl_generator(p, nmax, gamma=1.0):

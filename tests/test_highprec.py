@@ -8,7 +8,8 @@ three-term recursion for each eigenvector) and the eigenvalue ladder and
 coalescence distances are compared.  The propagated states are compared with
 mpmath exponentials of the same sector matrices at every output time.  The
 closed forms that a command reads at a size the user chooses (thermal_ss and
-hp_states) are compared with mpmath sums at 2j = 8000.
+hp_states) are compared with mpmath sums at 2j = 8000, and Clebsch-Gordan
+coefficients with an mpmath Racah sum at 2j = 320.
 Skipped when mpmath is unavailable.
 """
 
@@ -16,9 +17,9 @@ import pytest
 
 mp_mod = pytest.importorskip("mpmath")
 import numpy as np
-from mpmath import binomial, expm as mexpm, matrix as mmatrix, mp, mpc, mpf, sqrt as msqrt
+from mpmath import binomial, expm as mexpm, factorial as mfac, matrix as mmatrix, mp, mpc, mpf, sqrt as msqrt
 
-from spinbath.closed_forms import _gen_eigvec_raw, hp_states, thermal_ss
+from spinbath.closed_forms import _gen_eigvec_raw, clebsch_gordan, hp_states, thermal_ss
 from spinbath.dynamics import coherent_state, propagate
 from spinbath.liouvillian import build_sector
 from spinbath.model import ModelParams
@@ -256,3 +257,26 @@ def test_large_j_closed_forms_against_highprec(p):
     # gen_eigvec is the raw sum over its Euclidean norm, and the raw entry K = 0 is 1
     ratios = hp.gen_eigvec[list(Ks)] / hp.gen_eigvec[0]
     assert np.all(np.abs(ratios - gen) <= 1e-10 * np.abs(gen))
+
+
+def _mp_cg(two_j, two_m, K):
+    """<j m, j -m | K 0> from the factorial Racah sum in the working precision."""
+    j1m = j2p = (two_j - two_m) // 2
+    a, b = two_j - K, K
+    t = K - j1m  # both J - j2 + m1 and J - j1 - m2
+    pref = msqrt((2 * K + 1) * mfac(a) * mfac(b) ** 2 / mfac(two_j + K + 1)
+                 * mfac(K) ** 2 * mfac(j1m) ** 2 * mfac(two_j - j1m) ** 2)
+    return pref * mp.fsum((-1) ** k / (mfac(k) * mfac(a - k) * mfac(j1m - k) ** 2 * mfac(t + k) ** 2)
+                          for k in range(max(0, -t), min(a, j1m) + 1))
+
+
+@pytest.mark.parametrize("two_j, two_m, K", [(320, 0, 80), (320, 14, 159), (320, -60, 160), (320, 0, 242),
+                                           (320, 200, 120), (320, -2, 319), (1000, 1000, 1000)])
+def test_clebsch_gordan_against_highprec(two_j, two_m, K):
+    # the alternating sum cancels about 30 digits at 2j = 320, where a float sum kept no digit;
+    # the last entry, 7.0e-301, has a square far below the double range
+    with mp.workdps(100):
+        want = float(_mp_cg(two_j, two_m, K))
+    assert want != 0
+    got = clebsch_gordan(two_j / 2, two_m / 2, two_j / 2, -two_m / 2, K, 0)
+    assert abs(got - want) <= 1e-12 * abs(want)
