@@ -271,13 +271,13 @@ def cmd_evolve(args) -> int:
             m0 = two_j / 2 if kw["m"] == math.inf else kw["m"]  # m=top: the highest-weight state
             rho0 = dyn.fock_state(two_j, m0)
             states = dyn.propagate(params, rho0, times)
-            svals = [dyn.entropy(s) for s in states]
-            jzvals = [dyn.expectation(s, "jz") for s in states]
+            svals = dyn.entropy(states)
+            jzvals = dyn.expectation(states, "jz")
             for t, v in zip(times, svals):
                 trace_rows.append([t, v, two_j, p, "entropy"])
             for t, v in zip(times, jzvals):
                 trace_rows.append([t, v, two_j, p, "jz"])
-            groups.append((f"S(t) j={two_j/2:g}", times, np.asarray(svals)))
+            groups.append((f"S(t) j={two_j/2:g}", times, svals))
             extra_rows.append([times[-1], math.log(two_j + 1), two_j, p, "entropy_upper_bound"])
         svg_lines(os.path.join(out, "entropy.svg"), groups, xlabel="t", ylabel="S", title="entropy growth")
 

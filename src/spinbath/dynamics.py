@@ -352,13 +352,16 @@ def _pade_band_propagate(op, steps: np.ndarray, substeps: np.ndarray, u0: np.nda
     """States after each interval, from k applications of the banded Pade substep D^-1 N.
 
     Per distinct interval length, N and the LU factors of D are built once in
-    band storage; each substep is one dgbmv per real column and one dgbtrs.
-    No dense n x n matrix is formed.
+    band storage; each substep is one dgbmv per nonzero real column of u0 and
+    one dgbtrs on those columns.  A column that starts at 0 stays exactly 0, so
+    a real start (sector 0 from fock_state or hp_states) costs one dgbmv and a
+    one-column dgbtrs per substep.  No dense n x n matrix is formed.
     """
     n = op.dim
     cache: dict[float, tuple] = {}
-    U = np.empty((len(steps), n, 2))
-    u, v = np.asfortranarray(u0), np.empty((n, 2), order="F")
+    live = np.flatnonzero(u0.any(axis=0))
+    U = np.zeros((len(steps), n, 2))
+    u, v = np.asfortranarray(u0[:, live]), np.empty((n, len(live)), order="F")
     for i, dt in enumerate(steps):
         if dt > 0:
             k = int(substeps[i])
@@ -373,67 +376,97 @@ def _pade_band_propagate(op, steps: np.ndarray, substeps: np.ndarray, u0: np.nda
                 factors = cache[dt] = np.asfortranarray(num), lu, piv
             num, lu, piv = factors
             for _ in range(k):
-                dgbmv(n, n, _BAND, _BAND, 1.0, num, u[:, 0], y=v[:, 0], overwrite_y=1)
-                dgbmv(n, n, _BAND, _BAND, 1.0, num, u[:, 1], y=v[:, 1], overwrite_y=1)
+                for c in range(len(live)):
+                    dgbmv(n, n, _BAND, _BAND, 1.0, num, u[:, c], y=v[:, c], overwrite_y=1)
                 v, info = dgbtrs(lu, _BAND, _BAND, v, piv, overwrite_b=1)
                 if info:
                     raise np.linalg.LinAlgError(f"dgbtrs failed (info={info}) in sector M={op.sector.M}")
                 u, v = v, u
-        U[i] = u
+        U[i][:, live] = u
     return U
 
 
-def expectation(rho: VectorizedDensityMatrix, which: str) -> float:
-    """<Jz>, <Jx> or <Jy>.
+def _rows(rho) -> list[VectorizedDensityMatrix]:
+    """A state as the one-row list, or a nonempty list of states of one size as it is."""
+    states = [rho] if isinstance(rho, VectorizedDensityMatrix) else list(rho)
+    if not states:
+        raise ValueError("no states given")
+    if len({s.two_j for s in states}) > 1:
+        raise ValueError("states of different sizes")
+    return states
+
+
+def _shaped(values: np.ndarray, rho):
+    """values as a float for a single state, as a float64 array for a list."""
+    return float(values[0]) if isinstance(rho, VectorizedDensityMatrix) else np.array(values, dtype=float)
+
+
+def expectation(rho, which: str):
+    """<Jz>, <Jx> or <Jy> of a state (a float), or of each state of a list
+    of one size, such as propagate returns (a float64 array).
 
     Jz reads sector 0 only.  Jx and Jy read sector +1 if the state holds it,
     else the conjugate of sector -1 (its Hermitian mirror), through the
-    lowering coefficients.  The imaginary part must vanish for Hermitian
-    input and is checked against a 1e-10 tolerance.
+    lowering coefficients.  The imaginary part of Jz must vanish for
+    Hermitian input and is checked against a 1e-10 tolerance.  The sectors
+    of a list are stacked and each row is summed along its own axis, so every
+    entry carries the bits of the call on that state alone.
     """
-    j = rho.j
+    states = _rows(rho)
+    j = states[0].j
     name = which.lower()
     if name == "jz":
-        v = rho.sectors.get(0)
-        if v is None:
+        if any(0 not in s.sectors for s in states):
             raise ValueError("state has no M=0 sector")
-        ms = -j + np.arange(len(v))
-        val = complex(np.sum(ms * v))
-    elif name in ("jx", "jy"):
-        if 1 in rho.sectors:
-            v = rho.sectors[1]
-        elif -1 in rho.sectors:
-            v = np.conj(rho.sectors[-1])
-        else:
+        V = np.array([s.sectors[0] for s in states])
+        val = np.sum((-j + np.arange(V.shape[1])) * V, axis=1)
+        bad = np.flatnonzero(np.abs(val.imag) > 1e-10 * np.maximum(1.0, np.abs(val.real)))
+        if bad.size:
+            raise ValueError(f"expectation value not real: {complex(val[bad[0]])} (non-Hermitian state?)")
+        return _shaped(val.real, rho)
+    if name in ("jx", "jy"):
+        if any(1 not in s.sectors and -1 not in s.sectors for s in states):
             raise ValueError("state has no M=+-1 sectors")
+        V = np.array([s.sectors[1] if 1 in s.sectors else np.conj(s.sectors[-1]) for s in states])
         # Tr(rho J-) = sum_m rho(+1)_m C-(m), m from -j + 1
-        jminus = complex(np.sum(v * ladder_coeff(j, -j + 1 + np.arange(len(v)), "lower")))
-        val = complex(jminus.real) if name == "jx" else complex(-jminus.imag)
-    else:
-        raise ValueError(f"unknown observable {which!r}")
-    if abs(val.imag) > 1e-10 * max(1.0, abs(val.real)):
-        raise ValueError(f"expectation value not real: {val} (non-Hermitian state?)")
-    return float(val.real)
+        jminus = np.sum(V * ladder_coeff(j, -j + 1 + np.arange(V.shape[1]), "lower"), axis=1)
+        return _shaped(jminus.real if name == "jx" else -jminus.imag, rho)
+    raise ValueError(f"unknown observable {which!r}")
 
 
-def entropy(rho: VectorizedDensityMatrix) -> float:
-    """Von Neumann entropy -Tr[rho ln rho] of the reconstructed matrix.
+def entropy(rho):
+    """Von Neumann entropy -Tr[rho ln rho] of the reconstructed matrix, of a
+    state (a float) or of each state of a list of one size (a float64 array).
 
     Eigenvalues in [-1e-8, 0) are clipped to zero (roundoff); anything below
     -1e-8 signals genuine positivity loss and raises.  A state that holds only
     the M = 0 sector is diagonal, and its eigenvalues are the populations.
+    The rows of a list are summed in groups of equal count of positive
+    eigenvalues, each row along its own axis, so every entry carries the bits
+    of the call on that state alone.
     """
-    if rho.sectors.keys() == {0}:
-        w = rho.sectors[0].real
-    else:
-        dense = rho.to_dense()
-        w = np.linalg.eigvalsh(0.5 * (dense + dense.conj().T))
-    if w.min() < -1e-8:
-        raise PositivityError(f"negative eigenvalue {w.min():.3e} in density matrix")
-    w = np.clip(w, 0.0, None)
-    w = w[w > 0]
-    # + 0.0 turns the -0.0 of a pure state into 0.0
-    return float(-np.sum(w * np.log(w)) + 0.0)
+    states = _rows(rho)
+    diagonal = np.array([s.sectors.keys() == {0} for s in states])
+    W = np.empty((len(states), states[0].two_j + 1))
+    if diagonal.any():
+        W[diagonal] = np.array([s.sectors[0].real for s, d in zip(states, diagonal) if d])
+    if not diagonal.all():
+        dense = np.array([s.to_dense() for s, d in zip(states, diagonal) if not d])
+        W[~diagonal] = np.linalg.eigvalsh(0.5 * (dense + dense.conj().transpose(0, 2, 1)))
+    low = W.min(axis=1)
+    bad = np.flatnonzero(low < -1e-8)
+    if bad.size:
+        raise PositivityError(f"negative eigenvalue {low[bad[0]]:.3e} in density matrix")
+    W = np.clip(W, 0.0, None)
+    keep = W > 0
+    count = keep.sum(axis=1)
+    S = np.empty(len(W))
+    for k in np.unique(count):
+        rows = count == k
+        w = W[rows][keep[rows]].reshape(np.count_nonzero(rows), k)
+        # + 0.0 turns the -0.0 of a pure state into 0.0
+        S[rows] = -np.sum(w * np.log(w), axis=1) + 0.0
+    return _shaped(S, rho)
 
 
 def slowdown_experiment(params: ModelParams, a: float, b: float, times) -> tuple[np.ndarray, np.ndarray]:
@@ -459,7 +492,7 @@ def slowdown_experiment(params: ModelParams, a: float, b: float, times) -> tuple
     # jz_inf is thermal_ss's magnetization: hp.steady_state is its state
     jz_inf, jz_e, jz_g = (float(np.sum(ms * vec)) for vec in (hp.steady_state, hp.eigvec, hp.gen_eigvec))
     jz0 = expectation(rho0, "jz")
-    num = np.array([(expectation(s, "jz") - jz_inf) / (jz0 - jz_inf) for s in propagate(params, rho0, ts)])
+    num = (expectation(propagate(params, rho0, ts), "jz") - jz_inf) / (jz0 - jz_inf)
     theo = np.exp(hp.lambda1.real * ts) * ((a + hp.jordan_scale * b * ts) * jz_e + b * jz_g) / (a * jz_e + b * jz_g)
     return num, theo
 
@@ -491,7 +524,7 @@ def btc_experiment(params: ModelParams, two_j_list, times, cross_check_max_two_j
         if two_j <= cross_check_max_two_j:
             pj = ModelParams(two_j=two_j, h=params.h, gamma=params.gamma, gamma0=params.gamma0, p=0.0)
             states = propagate(pj, coherent_state(two_j, theta, phi), ts)
-            num = np.array([expectation(s, "jx") / j for s in states])
+            num = expectation(states, "jx") / j
             if not np.abs(num - vals).max() <= 1e-8:
                 raise ValueError(
                     f"closed form and propagation disagree at two_j={two_j}: {np.abs(num - vals).max():.2e}"

@@ -8,7 +8,7 @@ from scipy.linalg import expm
 from spinbath import closed_forms as cf
 from spinbath import dynamics as dyn
 from spinbath.liouvillian import build_bruteforce, build_sector
-from spinbath.model import ModelParams
+from spinbath.model import ModelParams, ladder_coeff
 from spinbath.output import parse_time_grid
 
 
@@ -143,6 +143,132 @@ def test_propagate_chooses_banded_pade_on_short_horizons(monkeypatch, grid, n_ex
     calls = _counting_expm(monkeypatch)
     dyn.propagate(ModelParams(two_j=320, p=0.5), dyn.fock_state(320, 160.0), parse_time_grid(grid))
     assert len(calls) == n_expm
+
+
+_BAND_PROPAGATE = dyn._pade_band_propagate
+
+
+def _recording_band_path(monkeypatch):
+    """The arguments of each banded propagation, and one entry per dgbmv call."""
+    seen, products = [], []
+    dgbmv = dyn.dgbmv
+
+    def recording(op, steps, substeps, u0):
+        seen.append((op, steps, substeps, u0))
+        return _BAND_PROPAGATE(op, steps, substeps, u0)
+
+    def counting(*args, **kwargs):
+        products.append(1)
+        return dgbmv(*args, **kwargs)
+
+    monkeypatch.setattr(dyn, "_pade_band_propagate", recording)
+    monkeypatch.setattr(dyn, "dgbmv", counting)
+    return seen, products
+
+
+@pytest.mark.parametrize("two_j", [160, 320])
+def test_real_sector0_start_takes_one_banded_column(monkeypatch, two_j):
+    # the imaginary column of a real start is 0 throughout, so it costs no dgbmv and no dgbtrs
+    # column; the real column keeps the bits it has when a nonzero second column rides along
+    seen, products = _recording_band_path(monkeypatch)
+    pops = np.random.default_rng(two_j).random(two_j + 1)
+    rho0 = dyn.VectorizedDensityMatrix(two_j, {0: (pops / pops.sum()).astype(complex)})
+    states = dyn.propagate(ModelParams(two_j=two_j, p=0.5), rho0, parse_time_grid("lin:0:3:61"))
+    ((op, steps, substeps, u0),) = seen
+    assert op.sector.M == 0
+    assert len(products) == substeps.sum() > 0
+    both = u0.copy()
+    both[:, 1] = u0[::-1, 0]
+    want = _BAND_PROPAGATE(op, steps, substeps, both)[..., 0]
+    V = np.array([s.sectors[0] for s in states])
+    assert V.real.tobytes() == want.tobytes()
+    assert np.all(V.imag == 0)
+
+
+def test_complex_start_takes_two_banded_columns(monkeypatch):
+    seen, products = _recording_band_path(monkeypatch)
+    rng = np.random.default_rng(5)
+    v = rng.standard_normal(160) + 1j * rng.standard_normal(160)
+    dyn.propagate(ModelParams(two_j=160, p=0.5), dyn.VectorizedDensityMatrix(160, {1: v}),
+                  parse_time_grid("lin:0:3:61"))
+    ((op, _, substeps, _),) = seen
+    assert op.sector.M == 1
+    assert len(products) == 2 * substeps.sum() > 0
+
+
+def _expectation_one(rho, which):
+    """<J> of one state, one sum per state: the reference for the rows of a list."""
+    j = rho.j
+    if which == "jz":
+        val = complex(np.sum((-j + np.arange(rho.two_j + 1)) * rho.sectors[0]))
+        assert abs(val.imag) <= 1e-10 * max(1.0, abs(val.real))
+        return val.real
+    v = rho.sectors[1] if 1 in rho.sectors else np.conj(rho.sectors[-1])
+    jminus = complex(np.sum(v * ladder_coeff(j, -j + 1 + np.arange(len(v)), "lower")))
+    return jminus.real if which == "jx" else -jminus.imag
+
+
+def _entropy_one(rho):
+    """Entropy of one state, one sum per state: the reference for the rows of a list."""
+    if rho.sectors.keys() == {0}:
+        w = rho.sectors[0].real
+    else:
+        dense = rho.to_dense()
+        w = np.linalg.eigvalsh(0.5 * (dense + dense.conj().T))
+    w = np.clip(w, 0.0, None)
+    w = w[w > 0]
+    return float(-np.sum(w * np.log(w)) + 0.0)
+
+
+def _clipped_population_states():
+    # 41 populations, one of them a roundoff-sized negative that entropy clips to 0, next to
+    # states with no zero and with one exact zero
+    rng = np.random.default_rng(11)
+    states = []
+    for low in (-5e-9, 0.0, 1e-3):
+        pops = rng.random(41)
+        pops[17] = low
+        states.append(dyn.VectorizedDensityMatrix(40, {0: (pops / pops.sum()).astype(complex)}))
+    return states
+
+
+@pytest.mark.parametrize("case", ["coherent", "fock-p0", "clipped"])
+def test_observables_of_a_list_equal_each_state_bitwise(case):
+    if case == "coherent":
+        states = dyn.propagate(ModelParams(two_j=10, p=0.3, h=0.9), dyn.coherent_state(10, 1.1, 0.4),
+                               np.linspace(0.0, 3.0, 13))
+        names = ("jz", "jx", "jy")
+    elif case == "fock-p0":
+        states = dyn.propagate(ModelParams(two_j=40, p=0.0), dyn.fock_state(40, 20.0),
+                               parse_time_grid("lin:0:1000:21"))
+        names = ("jz",)
+    else:
+        states = _clipped_population_states()
+        names = ("jz",)
+    for name in names:
+        got = dyn.expectation(states, name)
+        assert got.dtype == np.float64 and got.shape == (len(states),)
+        assert got.tobytes() == np.array([_expectation_one(s, name) for s in states]).tobytes()
+        assert type(dyn.expectation(states[-1], name)) is float
+    got = dyn.entropy(states)
+    assert got.dtype == np.float64 and got.shape == (len(states),)
+    assert got.tobytes() == np.array([_entropy_one(s) for s in states]).tobytes()
+    assert type(dyn.entropy(states[-1])) is float
+
+
+def test_observables_of_a_list_raise_as_for_one_state():
+    states = _clipped_population_states()
+    pops = states[1].sectors[0] = states[1].sectors[0].copy()
+    pops[3] = -1e-7
+    with pytest.raises(dyn.PositivityError, match="negative eigenvalue -1.000e-07"):
+        dyn.entropy(states)
+    pops[3] = 1e-3j
+    with pytest.raises(ValueError, match="expectation value not real"):
+        dyn.expectation(states, "jz")
+    with pytest.raises(ValueError, match="no M=\\+-1 sectors"):
+        dyn.expectation(states, "jx")
+    with pytest.raises(ValueError, match="states of different sizes"):
+        dyn.expectation([states[0], dyn.fock_state(4, 2.0)], "jz")
 
 
 def test_substeps_do_not_depend_on_the_field(monkeypatch):
