@@ -272,7 +272,8 @@ def propagate(params: ModelParams, rho0: VectorizedDensityMatrix, times) -> list
             U = Q @ (np.exp(np.multiply.outer(ts, lam))[:, :, None] * (Q.T @ u0))
             U[ts == 0] = u0
         else:
-            # substeps per interval, so that ||R_M|| dt / k <= _EXPM_STEP_NORM
+            # substeps per interval, so that ||R_M|| dt / k <= _EXPM_STEP_NORM; an interval whose
+            # ||R_M|| dt underflows to 0 (ratio 0, no substep) is the identity on both paths
             with np.errstate(over="ignore"):
                 norm = np.abs(op.diag).max() + (np.abs(op.upper).max() + np.abs(op.lower).max())
                 ratio = float(norm) * steps / _EXPM_STEP_NORM
@@ -310,7 +311,7 @@ def _dense_propagate(op, stochastic: bool, steps: np.ndarray, ratio: np.ndarray,
     U = np.empty((len(steps), *u0.shape))
     u = u0
     for i, dt in enumerate(steps):
-        if dt > 0:
+        if ratio[i] > 0:
             P = cache.get(dt)
             if P is None:
                 s = max(0, math.ceil(math.log2(ratio[i])))
@@ -363,8 +364,8 @@ def _pade_band_propagate(op, steps: np.ndarray, substeps: np.ndarray, u0: np.nda
     U = np.zeros((len(steps), n, 2))
     u, v = np.asfortranarray(u0[:, live]), np.empty((n, len(live)), order="F")
     for i, dt in enumerate(steps):
-        if dt > 0:
-            k = int(substeps[i])
+        k = int(substeps[i])
+        if k:
             factors = cache.get(dt)
             if factors is None:
                 num, den = _pade13_band(op, dt / k)

@@ -464,8 +464,23 @@ def test_evolve_keeps_the_trace_at_huge_rates(capsys, tmp_path, gamma):
     assert jz[1:] == pytest.approx([-1.5206611570247934] * (len(jz) - 1), abs=1e-12)
 
 
+@pytest.mark.parametrize("two_j", ["4", "33"])
+def test_evolve_interval_without_substeps_is_the_identity(capsys, tmp_path, two_j):
+    # ||R|| dt underflows to 0 on this grid, so no interval takes a substep: the dense path
+    # (2j = 4) took log2(0) and exited 1, the banded path (2j = 33) built a NaN propagator
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("gamma=1e-15\n", encoding="utf-8")
+    argv = ["evolve", "--two-j", two_j, "--p", "0.5", "--initial", "fock:m=top", "--times", "lin:0:1e-320:3",
+            "--config", str(cfg)]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().err == ""
+    rows = [r.split(",") for r in read(tmp_path / "out" / "traces.csv").splitlines()[1:]]
+    assert [float(r[1]) for r in rows if r[-1] == "entropy"] == [0.0] * 3
+    assert [float(r[1]) for r in rows if r[-1] == "jz"] == [int(two_j) / 2] * 3
+
+
 @pytest.mark.parametrize("two_j,cfg_line,message", [
-    ("4", "h=1e308", "error: phase h*t overflows the double range (h=1e+308, t=3.0)"),
+    ("4", "h=1e308","error: phase h*t overflows the double range (h=1e+308, t=3.0)"),
     # the cross-check propagates sectors up to M = 40, and h*M*t leaves the double range at M = 6
     ("40", "h=1e307\ncross_check_max_two_j=40", "error: phase h*M*t overflows the double range (two_j=40, M=6)"),
 ])
