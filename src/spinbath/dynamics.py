@@ -209,7 +209,8 @@ def propagate(params: ModelParams, rho0: VectorizedDensityMatrix, times) -> list
       orthogonal from one direct LAPACK dstevd call (the routine scipy's
       eigh_tridiagonal picks), condition number 1, so all T states come from
       one batched product Q (e^{lam t} * Q^T u0).  Rows with t = 0 are u0
-      exactly.
+      exactly.  In sector 0 the largest eigenvalue, that of the steady
+      state, is set to exactly 0, so the trace holds at any t.
     * otherwise the eigenbasis is ill-conditioned near coalescing pairs, and
       exp(dt R_M) over an output interval dt is k substeps exp(A), A = R_M dt/k
       with ||R_M|| dt/k <= _EXPM_STEP_NORM, ||R_M|| bounded by the largest
@@ -269,6 +270,12 @@ def propagate(params: ModelParams, rho0: VectorizedDensityMatrix, times) -> list
                 lam, Q, info = dstevd(op.diag, op.upper)
                 if info:
                     raise np.linalg.LinAlgError(f"dstevd failed (info={info}) in sector M={M}")
+                if M == 0:
+                    # a symmetric R_0 with zero column sums has zero row sums: it is minus a graph
+                    # Laplacian, whose largest eigenvalue is exactly 0 (the uniform null mode), but
+                    # dstevd returns it as +-O(eps ||R||), and e^{lam t} then drifts the trace
+                    # linearly in t (at 2j = 40, to an entropy of 3.40 for ln 41 by t = 1e15)
+                    lam[-1] = 0.0
             U = Q @ (np.exp(np.multiply.outer(ts, lam))[:, :, None] * (Q.T @ u0))
             U[ts == 0] = u0
         else:

@@ -554,6 +554,23 @@ def test_propagate_p0_large_j_against_closed_form(grid):
     assert max(s.hermiticity_defect() for s in states) <= 1e-10
 
 
+def test_p0_sector0_keeps_the_trace_at_long_horizons():
+    # dstevd returns the steady state's eigenvalue 0 as +-O(eps ||R||); taken as it is, the trace
+    # drifted linearly in t, and the entropy at t = 1e15 read 3.404 for ln 41
+    ts = parse_time_grid("lin:0:1e15:3")
+    states = dyn.propagate(ModelParams(two_j=40, p=0.0), dyn.fock_state(40, 20.0), ts)
+    assert abs(states[-1].trace() - 1) <= 1e-12
+    assert dyn.entropy(states[-1]) == pytest.approx(math.log(41), abs=1e-12)
+
+
+@pytest.mark.parametrize("t", [1e17, 1e30])
+def test_p0_sector0_at_huge_times_raises_no_warning(t):
+    # RuntimeWarnings are errors here; a positive eigenvalue of size eps overflowed e^{lam t} at 1e30
+    (state,) = dyn.propagate(ModelParams(two_j=2, p=0.0), dyn.fock_state(2, 1.0), [t])
+    assert abs(state.trace() - 1) <= 1e-12
+    assert dyn.entropy(state) == pytest.approx(math.log(3), abs=1e-12)
+
+
 def test_btc_requires_p0():
     with pytest.raises(ValueError, match="requires p = 0"):
         dyn.btc_experiment(ModelParams(two_j=4, p=0.5), [4], [0.0, 1.0])
