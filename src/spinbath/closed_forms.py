@@ -226,7 +226,7 @@ def _observable_matrix(params: ModelParams, observable) -> np.ndarray:
     return O
 
 
-def o3_expectation(params: ModelParams, rho0, observable, t: float) -> float:
+def o3_expectation(params: ModelParams, rho0, observable, t):
     """<O(t)> at p = 0 from the rotor spectrum and Clebsch-Gordan decoupling.
 
     rho0 is a VectorizedDensityMatrix.  Per sector M, the signed coefficients
@@ -235,7 +235,9 @@ def o3_expectation(params: ModelParams, rho0, observable, t: float) -> float:
     of the observable, the sector adds sum_K (v^T C)_K (o^T C)_K
     exp(lambda_{K,M} t).  The coefficients come from an exact integer sum
     (_cg_two), so this holds at every 2j; for Jz and Jx it reproduces the
-    simple exponential and damped-cosine laws.
+    simple exponential and damped-cosine laws.  t may be an array of times:
+    each sector's C is filled once per call, and the result has the shape of
+    t (a float for a scalar t).
     """
     if params.p != 0:
         raise ValueError(f"requires p = 0, got p={params.p}")
@@ -243,15 +245,16 @@ def o3_expectation(params: ModelParams, rho0, observable, t: float) -> float:
     if rho0.two_j != two_j:
         raise ValueError("size mismatch between params and rho0")
     O = _observable_matrix(params, observable)
-    total = 0.0 + 0.0j
+    ts = np.asarray(t, dtype=float)
+    total = np.zeros(ts.shape, dtype=complex)
     for M, vec in rho0.sectors.items():
         two_m = [int(round(2 * m)) for m in sector_basis(params, M).m_values()]
         Ks = range(abs(M), two_j + 1)
         C = np.array([[(-1) ** ((two_j - tm) // 2) * _cg_two(two_j, tm, two_j, 2 * M - tm, 2 * K, 2 * M)
                        for K in Ks] for tm in two_m])
         lam = np.array([o3_eigenvalue(params, K, M) for K in Ks])
-        total += np.sum((vec @ C) * (np.diagonal(O, M) @ C) * np.exp(lam * t))
-    return float(total.real)
+        total += np.sum((vec @ C) * (np.diagonal(O, M) @ C) * np.exp(np.multiply.outer(ts, lam)), axis=-1)
+    return float(total.real) if total.ndim == 0 else total.real
 
 
 @dataclass(frozen=True)

@@ -208,11 +208,9 @@ def test_o3_expectation_reduces_to_closed_laws():
     jx0 = expectation(rho, "jx")
     jz_rho = coherent_state(10, 0.9, 0.3)
     jz0 = expectation(jz_rho, "jz")
-    for t in (0.0, 0.8, 2.5):
-        jx_t = cf.o3_expectation(params, rho, "jx", t)
-        assert jx_t == pytest.approx(jx0 * math.exp(-t / 10) * math.cos(t), abs=1e-10)
-        jz_t = cf.o3_expectation(params, jz_rho, "jz", t)
-        assert jz_t == pytest.approx(jz0 * math.exp(-t / 5), abs=1e-10)
+    ts = np.array([0.0, 0.8, 2.5])
+    assert cf.o3_expectation(params, rho, "jx", ts) == pytest.approx(jx0 * np.exp(-ts / 10) * np.cos(ts), abs=1e-10)
+    assert cf.o3_expectation(params, jz_rho, "jz", ts) == pytest.approx(jz0 * np.exp(-ts / 5), abs=1e-10)
 
 
 def test_o3_expectation_t0_is_trace():
@@ -227,6 +225,22 @@ def test_o3_expectation_t0_is_trace():
     assert cf.o3_expectation(params, rho, O, 0.0) == pytest.approx(want, abs=1e-10)
 
 
+def test_o3_expectation_over_times_is_each_time_alone():
+    # a time array fills each sector's Clebsch-Gordan matrix once; every entry carries the bits of
+    # the call at that time alone, and a scalar time gives a float
+    from spinbath.dynamics import coherent_state
+
+    params = ModelParams(two_j=12, h=0.7, gamma=1.0, gamma0=0.2, p=0.0)
+    rho = coherent_state(12, 1.1, 0.4)
+    ts = np.array([0.0, 0.3, 2.0, 7.5])
+    for obs in ("jz", "jx"):
+        got = cf.o3_expectation(params, rho, obs, ts)
+        assert got.shape == ts.shape
+        alone = [cf.o3_expectation(params, rho, obs, t) for t in ts]
+        assert all(type(v) is float for v in alone)
+        assert got.tobytes() == np.array(alone).tobytes()
+
+
 def test_o3_expectation_against_propagation_at_large_j():
     # <Jz^2> of |m = 0> is exactly 0 at t = 0; Clebsch-Gordan coefficients summed in
     # floating point gave 1.3e5 at 2j = 160
@@ -237,9 +251,8 @@ def test_o3_expectation_against_propagation_at_large_j():
     rho = fock_state(two_j, 0.0)
     ms = -two_j / 2 + np.arange(two_j + 1)
     ts = [0.0, 0.5, 3.0]
-    for t, state in zip(ts, propagate(params, rho, ts)):
-        want = float(np.sum(ms**2 * state.sectors[0].real))
-        assert cf.o3_expectation(params, rho, np.diag(ms**2), t) == pytest.approx(want, abs=1e-9)
+    want = [float(np.sum(ms**2 * state.sectors[0].real)) for state in propagate(params, rho, ts)]
+    assert cf.o3_expectation(params, rho, np.diag(ms**2), ts) == pytest.approx(want, abs=1e-9)
 
 
 def _tl_generator(p, nmax, gamma=1.0):

@@ -476,11 +476,8 @@ def test_o3_oracle_equivalence_through_propagation():
     rho0 = dyn.coherent_state(8, 1.1, 0.4)
     ts = [0.3, 1.7]
     states = dyn.propagate(params, rho0, ts)
-    for t, s in zip(ts, states):
-        for obs in ("jz", "jx"):
-            assert dyn.expectation(s, obs) == pytest.approx(
-                cf.o3_expectation(params, rho0, obs, t), abs=1e-8
-            )
+    for obs in ("jz", "jx"):
+        assert dyn.expectation(states, obs) == pytest.approx(cf.o3_expectation(params, rho0, obs, ts), abs=1e-8)
 
 
 def test_slowdown_pure_exponential_when_b_zero():
