@@ -12,7 +12,9 @@ of substeps A = R_M dt/k with ||A|| <= 4 in one of two regimes:
 
 * short horizons: the [13/13] Pade approximant D(A)^-1 N(A), built in band
   storage (half-bandwidth 13) and applied to the state k times per interval
-  with LAPACK dgbmv and dgbtrs, never forming a dense n x n matrix;
+  with LAPACK dgbmv and dgbtrs, never forming a dense n x n matrix; only the
+  nonzero real columns of the state are carried, so a real start (sector 0
+  of a fock or hp-doublet run) takes one column, not two;
 * long horizons: one dense expm per distinct output-interval length (lengths
   that differ only by float rounding count as one), squared up to the
   interval and applied with one product per output time.
@@ -222,8 +224,11 @@ def propagate(params: ModelParams, rho0: VectorizedDensityMatrix, times) -> list
       - the banded Pade path when n >= 27 and 80 S <= n^2: per distinct
         length, N(A) and the LU factors of D(A) of the [13/13] Pade
         approximant in band storage, then k applications of D^-1 N (one dgbmv
-        per real column, one dgbtrs) per interval.  Its cost is about S
-        substeps of O(n), with no dense matrix; dgbmv needs n >= 27.
+        per nonzero real column of u0, one dgbtrs on those columns) per
+        interval.  A real start, such as sector 0 from fock_state or the
+        slow-down run, takes one column; the imaginary column stays exactly
+        0.  Its cost is about S substeps of O(n), with no dense matrix; dgbmv
+        needs n >= 27.
       - the dense path otherwise: per distinct length, expm(R_M dt / 2^s)
         with 2^s >= k, squared s times, then one product per output time.
         Its cost is about n^3 per distinct length, and more where the
@@ -231,15 +236,19 @@ def propagate(params: ModelParams, rho0: VectorizedDensityMatrix, times) -> list
         whose columns sum to 0, each square gets its columns divided by their
         sums, which keeps the trace at rates up to the double range.
 
-      Measured crossover, sector 0 at p = 0.5, one BLAS thread, median ms
-      (dense / banded; * marks the path the rule picks):
+      Measured crossover, sector 0 at p = 0.5 from a real start (one banded
+      column), one BLAS thread, median ms (dense / banded; * marks the path
+      the rule picks):
 
       grid            2j = 26       80            160           320           640
-      lin:0:3:61      0.23* / 0.98  0.77* / 2.36  4.74 / 4.75*  64.5 / 14.1*  392 / 35.9*
-      lin:0:30:61     0.18* / 1.89  0.74* / 8.29  7.76* / 23.6  100* / 90.2   604 / 388*
-      lin:0:3000:121  0.46* / -     0.91* / -     7.63* / -     101* / -      1131* / -
+      lin:0:3:61      0.16* / 0.56  0.61* / 1.24  5.57 / 2.60*  83.5 / 6.79*  394 / 24.8*
+      lin:0:30:61     0.33* / 2.04  1.43* / 8.77  9.47* / 23.8  118* / 75.9   640 / 173*
+      lin:0:3000:121  0.33* / -     1.13* / -     8.52* / -     100* / -      1110* / -
 
-      The banded path was not run on lin:0:3000:121, where S ~ 750 n.
+      The banded path was not run on lin:0:3000:121, where S ~ 750 n.  The
+      rule was set on two banded columns and is kept; with one column only
+      the boundary cell 2j = 320 on lin:0:30:61 (80 S / n^2 = 1.91) would
+      favour the banded path.
 
     Sector -M (M > 0) has the bands of sector M and the conjugate shift, so
     L_{-M} = conj(L_M).  When rho0 holds both and sectors[-M] is bitwise

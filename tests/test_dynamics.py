@@ -221,13 +221,14 @@ def _entropy_one(rho):
 
 
 def _clipped_population_states():
-    # 41 populations, one of them a roundoff-sized negative that entropy clips to 0, next to
-    # states with no zero and with one exact zero
+    # 41 populations per state; ten states hold a roundoff-sized negative, each at its own
+    # place, that entropy clips to 0, one holds an exact 0 and one no zero.  Summing the
+    # zeros with the rest, in place, would move other terms to other partial sums
     rng = np.random.default_rng(11)
     states = []
-    for low in (-5e-9, 0.0, 1e-3):
+    for low in [-5e-9] * 10 + [0.0, 1e-3]:
         pops = rng.random(41)
-        pops[17] = low
+        pops[rng.integers(41)] = low
         states.append(dyn.VectorizedDensityMatrix(40, {0: (pops / pops.sum()).astype(complex)}))
     return states
 
