@@ -23,6 +23,7 @@ __all__ = [
     "FullLiouvillian",
     "build_sector",
     "build_bruteforce",
+    "bruteforce_block",
     "BRUTEFORCE_MAX_HILBERT_DIM",
 ]
 
@@ -151,11 +152,8 @@ class FullLiouvillian:
         return np.linalg.eigvals(self.matrix)
 
 
-def build_bruteforce(params: ModelParams) -> FullLiouvillian:
-    """Dense Liouvillian from H = -h Jz and the three jump operators.
-
-    Independent of the sector builder; serves as its oracle at small j.
-    """
+def _master_operators(params: ModelParams) -> tuple[np.ndarray, list]:
+    """H = -h Jz and the three jump operators (dephasing, raising, lowering) as dense N x N matrices."""
     N = params.hilbert_dim
     if N > BRUTEFORCE_MAX_HILBERT_DIM:
         raise ValueError(
@@ -167,17 +165,52 @@ def build_bruteforce(params: ModelParams) -> FullLiouvillian:
     Jp = np.zeros((N, N), dtype=complex)
     Jp[np.arange(1, N), np.arange(N - 1)] = ladder_coeff(j, ms[:-1], "raise")
     Jm = Jp.conj().T
-    H = -h * Jz
-    eye = np.eye(N)
-    S = -1j * (np.kron(H, eye) - np.kron(eye, H.T))
     jumps = [
         np.sqrt(G0 / j) * Jz,
         np.sqrt(G / j * (1 - p) / 2) * Jp,
         np.sqrt(G / j * (1 + p) / 2) * Jm,
     ]
+    return -h * Jz, jumps
+
+
+def build_bruteforce(params: ModelParams) -> FullLiouvillian:
+    """Dense Liouvillian from H = -h Jz and the three jump operators.
+
+    Independent of the sector builder; serves as its oracle at small j.
+    """
+    H, jumps = _master_operators(params)
+    eye = np.eye(params.hilbert_dim)
+    S = -1j * (np.kron(H, eye) - np.kron(eye, H.T))
     for L in jumps:
         LdL = L.conj().T @ L
         S += np.kron(L, L.conj())
         S -= 0.5 * np.kron(LdL, eye)
         S -= 0.5 * np.kron(eye, LdL.T)
     return FullLiouvillian(params=params, matrix=S)
+
+
+def bruteforce_block(params: ModelParams, M: int) -> np.ndarray:
+    """Sector M of build_bruteforce(params).matrix, formed from H and the jump operators by index.
+
+    Rows and columns are FullLiouvillian.sector_indices(M), the pairs (a, b)
+    with b = a - M.  Each Kronecker term enters as
+    (A kron B^T)[(a, b), (a', b')] = A[a, a'] * B[b', b], so the block holds
+    the same products, summed in the same order, as the full matrix, without
+    forming its N^2 x N^2 entries; like it, it does not use the sector builder.
+    """
+    H, jumps = _master_operators(params)
+    a = np.rint(sector_basis(params, M).m_values() + params.j).astype(int)
+    rows, cols = np.ix_(a, a)
+
+    def kron(A, B):
+        # the sector block of A kron B^T
+        return A[rows, cols] * B[cols - M, rows - M]
+
+    eye = np.eye(params.hilbert_dim)
+    S = -1j * (kron(H, eye) - kron(eye, H))
+    for L in jumps:
+        LdL = L.conj().T @ L
+        S += kron(L, L.conj().T)
+        S -= 0.5 * kron(LdL, eye)
+        S -= 0.5 * kron(eye, LdL)
+    return S

@@ -3,7 +3,7 @@ import pytest
 
 from spinbath.closed_forms import o3_eigenvalue
 from spinbath import spectra as sp
-from spinbath.liouvillian import build_bruteforce, build_sector
+from spinbath.liouvillian import BRUTEFORCE_MAX_HILBERT_DIM, build_bruteforce, build_sector, bruteforce_block
 from spinbath.model import ModelParams, ladder_coeff
 from spinbath.verification import multiset_match_error
 
@@ -107,6 +107,23 @@ def test_full_matrix_is_block_diagonal():
         assert np.abs(full.matrix[np.ix_(idx, outside)]).max() < 1e-14
         seen[idx] = True
     assert seen.all()
+
+
+@pytest.mark.parametrize("two_j", [1, 4, 9, 16])
+def test_bruteforce_block_is_the_full_matrix_block_bitwise(two_j):
+    # each block formed by index holds the bits of the full matrix's block, signed zeros included
+    for p in (-1.0, -0.35, 0.0, 0.5, 1.0):
+        for h, gamma0 in ((1.0, 0.0), (-0.7, 0.3), (0.0, 1.0)):
+            params = ModelParams(two_j=two_j, h=h, gamma=1.3, gamma0=gamma0, p=p)
+            full = build_bruteforce(params)
+            for M in range(-two_j, two_j + 1):
+                idx = full.sector_indices(M)
+                assert bruteforce_block(params, M).tobytes() == full.matrix[np.ix_(idx, idx)].tobytes()
+
+
+def test_bruteforce_block_size_guard():
+    with pytest.raises(ValueError, match="hilbert_dim"):
+        bruteforce_block(ModelParams(two_j=BRUTEFORCE_MAX_HILBERT_DIM), 0)
 
 
 @pytest.mark.parametrize("p", [-1.0, -0.5, 0.0, 0.5, 1.0])
