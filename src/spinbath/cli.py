@@ -13,6 +13,10 @@ runs the eigenvalue solves of the sectors ahead on one helper thread
 the benchmark's scan sweep went from 0.25 s to 0.18 s per pass on 2 CPUs.
 The 483 small sectors of `spectrum --two-j 80 --p "0 0.5 0.99"` took 0.47 s
 that way against 0.34 s in one thread, so spectrum stays in one thread.
+spectrum solves each +-M pair once instead: the first sector of the pair in
+configuration order is diagonalized, and its partner, which has the same
+bands and the conjugate shift, is filled from that solve at once
+(spectra.diagonalize with _partner), still through its own diagonalize call.
 --jobs is still parsed and checked (at least 1) but has no effect.
 """
 
@@ -112,39 +116,60 @@ def cmd_spectrum(args) -> int:
         raise UsageError(f"sector M={too_big[0]} exceeds the largest 2j={max(two_js)}")
     sp.check_bound(cfg["doublet_threshold"])
 
-    tasks = []
+    order, tasks = [], []
     for two_j in two_js:
         for p in ps:
             params = _params(cfg, two_j, p)
             # an M that fits only the larger sizes is skipped for this one
-            for M in range(-two_j, two_j + 1) if ms is None else ms:
-                if abs(M) <= two_j:
-                    tasks.append((params, M))
+            sectors = [M for M in (range(-two_j, two_j + 1) if ms is None else ms) if abs(M) <= two_j]
+            order += [(two_j, p, M) for M in sectors]
+            # the first sector of each +-M pair is solved, and its partner is filled from that solve
+            given, seen = set(sectors), set()
+            for M in sectors:
+                if -M not in seen:
+                    tasks.append((params, [M, -M] if M and -M in given else [M]))
+                seen.add(M)
 
-    def work(task):
-        params, M = task
-        two_j = params.two_j
-        dec = sp.diagonalize(build_sector(params, M))
+    def taken(params, M, dec):
+        """The CSV rows of one sector, its plot points (x, Im(lambda), doublet membership) and whether
+        x is Re(lambda)/(2j): Re(lambda)/j overflows only at j = 1/2, where Re(lambda)/(2j) is Re(lambda)."""
         d = sp.pair_distances(dec)
         w = dec.eigenvalues
         # the provenance cells lead every row of the sector and are formatted once
         tails = list(zip(range(len(w)), w.real.tolist(), w.imag.tolist(), d.tolist() + [math.nan]))
-        return (_provenance(params, M), tails), (w.real / (two_j / 2), w.imag,
-                                                  sp.doublet_members(d, cfg["doublet_threshold"]))
+        over = params.two_j == 1 and np.abs(w.real).max() >= 2.0**1023  # 2 Re(lambda) overflows
+        return ((params.two_j, params.p, M), (_provenance(params, M), tails),
+                (w.real if over else w.real / params.j, w.imag, sp.doublet_members(d, cfg["doublet_threshold"])),
+                over)
 
-    results = _pool_map(cfg["jobs"], work, tasks)
-    rows = RowGroups(group for group, _ in results)
+    def work(task):
+        # both sectors of a pair give their rows before either decomposition is dropped
+        params, (M, *partner) = task
+        op = build_sector(params, M)
+        dec = sp.diagonalize(op)
+        return [taken(params, M, dec)] + [
+            taken(params, other, sp.diagonalize(build_sector(params, other), _partner=(op, dec)))
+            for other in partner]
+
+    by_sector = {key: out for pair in _pool_map(cfg["jobs"], work, tasks) for key, *out in pair}
+    results = [by_sector.pop(key) for key in order]
+    rows = RowGroups(group for group, _, _ in results)
     csv_path = write_csv(
         os.path.join(out, "spectra.csv"),
         PROVENANCE + ["N", "re_lambda", "im_lambda", "d_N"],
         rows,
     )
-    # scatter of (Re/j, Im) colored by doublet membership at the threshold
-    x, y, member = map(np.concatenate, zip(*(points for _, points in results)))
+    # scatter of (Re/j, Im) colored by doublet membership at the threshold; where Re(lambda)/j
+    # overflows, the plot shows Re(lambda)/(2j)
+    x, y, member = map(np.concatenate, zip(*(points for _, points, _ in results)))
+    xlabel = "Re(lambda)/j"
+    if any(over for _, _, over in results):
+        x = np.concatenate([points[0] if over else points[0] / 2 for _, points, over in results])
+        xlabel = "Re(lambda)/(2j)"
     svg_scatter(
         os.path.join(out, "spectrum.svg"),
         [("coalesced pairs", x[member], y[member]), ("isolated", x[~member], y[~member])],
-        xlabel="Re(lambda)/j",
+        xlabel=xlabel,
         ylabel="Im(lambda)",
         title="Liouvillian spectrum",
     )

@@ -191,17 +191,30 @@ def parse_initial(spec: str) -> tuple[str, dict]:
 _SVG_COLORS = ["#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd", "#8c564b", "#e377c2"]
 
 
+def _limits(values) -> tuple[float, float, float]:
+    """Axis limits of finite values, divided by s, and s: a power of two from 1 to 2^1023.
+
+    s is the power of two just above every |value| (1 at least, 2^1023 at
+    most), so the scaled limits and their difference lie below 4 in
+    magnitude even for values near the double limit.  Dividing by a power of
+    two keeps the bits of a normal double, so the coordinates are those of
+    the unscaled arithmetic wherever that stays finite.
+    """
+    lo, hi = float(np.min(values)), float(np.max(values))
+    s = math.ldexp(1.0, min(max(math.frexp(max(abs(lo), abs(hi)))[1], 0), 1023))
+    lo, hi = lo / s, hi / s
+    # an axis without spread gets one; + 1 alone is lost to rounding from |lo| = 2^53 on
+    if hi == lo:
+        hi = lo + max(1.0 / s, abs(lo))
+    return lo, hi, s
+
+
 def _axes(xs, ys, width, height, pad):
-    x0, x1 = float(np.min(xs)), float(np.max(xs))
-    y0, y1 = float(np.min(ys)), float(np.max(ys))
-    # an axis without spread gets one; + 1 alone is lost to rounding from |x0| = 2^53 on
-    if x1 == x0:
-        x1 = x0 + max(1.0, abs(x0))
-    if y1 == y0:
-        y1 = y0 + max(1.0, abs(y0))
-    sx = lambda x: pad + (x - x0) / (x1 - x0) * (width - 2 * pad)
-    sy = lambda y: height - pad - (y - y0) / (y1 - y0) * (height - 2 * pad)
-    return sx, sy, (x0, x1, y0, y1)
+    x0, x1, xunit = _limits(xs)
+    y0, y1, yunit = _limits(ys)
+    sx = lambda x: pad + (x / xunit - x0) / (x1 - x0) * (width - 2 * pad)
+    sy = lambda y: height - pad - (y / yunit - y0) / (y1 - y0) * (height - 2 * pad)
+    return sx, sy, (x0 * xunit, x1 * xunit, y0 * yunit, y1 * yunit)
 
 
 def _svg_frame(width, height, pad, box, xlabel, ylabel, title):
@@ -241,7 +254,9 @@ def _svg_plot(path, groups, marks, xlabel, ylabel, title):
     parts.append("</svg>")
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(parts) + "\n")
+        # in chunks of lines: one join of a 20 000-point scatter would hold 1.6 MB of text, twice
+        for i in range(0, len(parts), 1024):
+            fh.write("\n".join(parts[i : i + 1024]) + "\n")
     return path
 
 

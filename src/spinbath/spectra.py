@@ -28,6 +28,14 @@ rule "doublet (2n-1, 2n) is closed iff d_{2n-1} < bound" (ep_scan and the
 spectrum command's doublet register), and floor_cut the one cut of d values
 below DISTANCE_FLOOR (decay fits and plots).  diagonalize with a bound feeds
 the same two functions to stop solving at the first open doublet.
+
+Sector -M has the real bands of sector M and the conjugate shift, so its
+decomposition is fully determined by sector M's: the same band eigenvalues,
+eigenvectors, residuals and d_N, with the eigenvalues formed from its own
+shift.  diagonalize takes a solved partner (_partner) and then runs no
+dstevd, no dgtsv walk and no residual pass; it checks the bands, M and the
+shift first, so what it hands on is exactly what a fresh solve would compute.
+The arrays two such decompositions share are read-only.
 """
 
 from __future__ import annotations
@@ -38,7 +46,7 @@ import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -106,8 +114,10 @@ class SpectralDecomposition:
     eigenvalues always hold all dim values; built with a bound (see
     diagonalize), right_eigenvectors and residual_norms may hold only the
     leading columns, fewer than dim.  distances holds their d_N (see
-    pair_distances), which diagonalize computes while it solves and marks
-    read-only.
+    pair_distances), which diagonalize computes while it solves.
+    band_eigenvalues are the eigenvalues without the shift (None where the
+    decomposition was not made by diagonalize).  diagonalize marks every
+    array but eigenvalues read-only, since a mirrored sector shares them.
     """
 
     sector: "object"
@@ -116,6 +126,7 @@ class SpectralDecomposition:
     residual_norms: np.ndarray
     operator_scale: float
     distances: np.ndarray
+    band_eigenvalues: np.ndarray | None = None
 
     @property
     def dim(self) -> int:
@@ -370,7 +381,8 @@ def check_bound(bound: float) -> None:
         raise ValueError(f"coalescence bound must lie in (0, 1), got {bound}")
 
 
-def diagonalize(op: SectorOperator, bound: float | None = None, *, _eigenvalues=None) -> SpectralDecomposition:
+def diagonalize(op: SectorOperator, bound: float | None = None, *, _eigenvalues=None,
+                _partner=None) -> SpectralDecomposition:
     """Spectral decomposition of a sector operator, with real eigenvectors.
 
     Eigenvalues are those of eigenvalues_only, eigenvectors come from inverse
@@ -379,23 +391,49 @@ def diagonalize(op: SectorOperator, bound: float | None = None, *, _eigenvalues=
     only for the leading columns that reach the precursor of ep_scan at that
     bound, which is also enough for ep_scan at any smaller bound.  _eigenvalues
     is _band_eigenvalues(op) computed ahead, by diagonalize_each only.
+    _partner is (operator, decomposition) of the conjugate sector, solved by
+    diagonalize without a bound: op then takes its band eigenvalues,
+    eigenvectors, residuals and d_N as they are, all read-only, and its
+    eigenvalues are the band eigenvalues plus op.shift, which is what a fresh
+    solve computes bit for bit.  A partner whose bands are not equal to op's
+    (np.array_equal), whose M is not -M or whose shift is not the conjugate of
+    op's, or one given with a bound, raises ValueError.
     """
     if op.dim < 1:
         raise ValueError("empty sector operator")
     if bound is not None:
         check_bound(bound)
+    if _partner is not None:
+        return _mirrored(op, bound, *_partner)
     w = _band_eigenvalues(op) if _eigenvalues is None else _eigenvalues
     scale = _band_scale(op)
     V, d = _inverse_iteration(op, w, scale, bound)
-    d.flags.writeable = False
+    residuals = _residual_norms(op, V, w[: V.shape[1]], scale)
+    for shared in (w, V, residuals, d):
+        shared.flags.writeable = False
     return SpectralDecomposition(
         sector=op.sector,
         eigenvalues=w + op.shift,
         right_eigenvectors=V,
-        residual_norms=_residual_norms(op, V, w[: V.shape[1]], scale),
+        residual_norms=residuals,
         operator_scale=scale,
         distances=d,
+        band_eigenvalues=w,
     )
+
+
+def _mirrored(op: SectorOperator, bound, other: SectorOperator, dec: SpectralDecomposition) -> SpectralDecomposition:
+    """diagonalize(op) from the solved conjugate sector: other, its operator, and dec, its full decomposition."""
+    if bound is not None:
+        raise ValueError("a mirrored sector takes no bound")
+    if not all(np.array_equal(a, b) for a, b in ((op.diag, other.diag), (op.upper, other.upper),
+                                                  (op.lower, other.lower))):
+        raise ValueError(f"sector M={other.sector.M} has other bands than sector M={op.sector.M}")
+    if other.sector.M != -op.sector.M or other.shift != op.shift.conjugate():
+        raise ValueError(f"sector M={other.sector.M} is not the conjugate of sector M={op.sector.M}")
+    if dec.sector != other.sector or dec.band_eigenvalues is None or dec.right_eigenvectors.shape[1] != op.dim:
+        raise ValueError(f"the decomposition of sector M={other.sector.M} is not its full solve by diagonalize")
+    return replace(dec, sector=op.sector, eigenvalues=dec.band_eigenvalues + op.shift)
 
 
 def _other_cpus() -> set:

@@ -16,6 +16,7 @@ import spinbath
 from spinbath.cli import main
 from spinbath.closed_forms import critical_value_per_j
 from spinbath.liouvillian import build_bruteforce, build_sector
+from spinbath.model import ModelParams
 from spinbath.output import (
     fmt,
     parse_float_list,
@@ -902,6 +903,113 @@ def test_scaling_frees_each_decomposition_before_the_next(tmp_path, monkeypatch)
     assert main(argv + ["--out", str(tmp_path)]) == 0
     assert alive == [0] * 8
     assert all(ref() is None for ref in refs)
+
+
+def test_spectrum_solves_each_pair_once(tmp_path, monkeypatch):
+    # diagonalize still runs once per sector, on an operator of build_sector, but dstevd, the dgtsv
+    # walk and the residual pass run once per +-M pair: as often as for the sectors M >= 0 alone
+    import spinbath.cli as cli
+
+    counts = {}
+
+    def counting(name):
+        real = getattr(cli.sp, name)
+
+        def counted(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli.sp, name, counted)
+
+    built, real_diagonalize, ops = [], cli.sp.diagonalize, []
+
+    def building(params, M):
+        built.append(build_sector(params, M))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_sector", building)
+
+    def diagonalize(op, **kwargs):
+        ops.append((any(op is b for b in built), op.sector.M, "_partner" in kwargs))
+        return real_diagonalize(op, **kwargs)
+
+    for name in ("_dstevd_values", "dgtsv", "_inverse_iteration", "_residual_norms"):
+        counting(name)
+    monkeypatch.setattr(cli.sp, "diagonalize", diagonalize)
+    assert main(["spectrum", "--two-j", "7 8", "--p", "0.5 0", "--out", str(tmp_path)]) == 0
+    sweep, counts = counts, {}
+    for two_j in (7, 8):
+        for p in (0.5, 0.0):
+            for M in range(two_j + 1):
+                real_diagonalize(build_sector(ModelParams(two_j=two_j, p=p), M))
+    assert sweep == counts and counts["_dstevd_values"] == 2 * (7 + 8) and counts["_inverse_iteration"] == 2 * 17
+    # the negative sector of each pair comes first in configuration order: it is solved, and its
+    # partner is filled at once
+    assert ops == [call for two_j in (7, 8) for _ in (0.5, 0.0) for M in range(-two_j, 1)
+                   for call in [(True, M, False)] + [(True, -M, True)] * (M != 0)]
+
+
+def test_unpaired_sector_is_solved_directly(tmp_path, monkeypatch):
+    # --m "-3" has no partner: sector -3 is solved on its own, and its rows are those of a full sweep
+    import spinbath.cli as cli
+
+    partners, real = [], cli.sp.diagonalize
+    monkeypatch.setattr(cli.sp, "diagonalize",
+                        lambda op, **kwargs: partners.append("_partner" in kwargs) or real(op, **kwargs))
+    argv = ["spectrum", "--two-j", "7", "--p", "0.5 -0.3"]
+    assert main(argv + ["--m", "-3", "--out", str(tmp_path / "one")]) == 0
+    assert partners == [False, False]
+    assert main(argv + ["--out", str(tmp_path / "all")]) == 0
+    lines = read(tmp_path / "all" / "spectra.csv").splitlines()
+    kept = [line for line in lines[1:] if line.split(",")[5] == "-3"]
+    assert read(tmp_path / "one" / "spectra.csv").splitlines() == lines[:1] + kept
+    # paired and unpaired sectors in any order keep the rows of the full sweep, in the order given
+    assert main(argv + ["--m", "3 0 -7 5 -3 7", "--out", str(tmp_path / "mixed")]) == 0
+    by_m = {}
+    for line in lines[1:]:
+        by_m.setdefault((line.split(",")[1], line.split(",")[5]), []).append(line)
+    want = [line for p in ("0.5", "-0.29999999999999999") for M in ("3", "0", "-7", "5", "-3", "7")
+            for line in by_m[(p, M)]]
+    assert read(tmp_path / "mixed" / "spectra.csv").splitlines()[1:] == want
+
+
+def test_spectrum_frees_each_pair_before_the_next(tmp_path, monkeypatch):
+    # the rows of both sectors of a pair are taken before the next pair is solved, so a solve sees
+    # no decomposition alive, and a mirrored sector sees only its partner's
+    import spinbath.cli as cli
+
+    real, refs, alive = cli.sp.diagonalize, [], []
+
+    def spying(op, **kwargs):
+        alive.append(sum(ref() is not None for ref in refs))
+        dec = real(op, **kwargs)
+        refs.append(weakref.ref(dec))
+        return dec
+
+    monkeypatch.setattr(cli.sp, "diagonalize", spying)
+    assert main(["spectrum", "--two-j", "6 9", "--p", "0.3 0.5", "--out", str(tmp_path)]) == 0
+    assert alive == [count for two_j in (6, 9) for _ in (0.3, 0.5) for M in range(-two_j, 1)
+                     for count in [0] + [1] * (M != 0)]
+    assert all(ref() is None for ref in refs)
+
+
+@pytest.mark.parametrize("ms,first", [(None, -2), ("2 -2", 2), ("-2 2", -2)])
+def test_spectrum_reports_the_failing_sector_in_config_order(capsys, monkeypatch, tmp_path, ms, first):
+    # sectors 2 and -2 fail alike; the line names the one that comes first in configuration order
+    import spinbath.cli as cli
+
+    real = cli.sp._inverse_iteration
+
+    def walk(op, *args, **kwargs):
+        if abs(op.sector.M) == 2:
+            raise cli.sp._sector_error("eigenvector walk failed", op.sector)
+        return real(op, *args, **kwargs)
+
+    monkeypatch.setattr(cli.sp, "_inverse_iteration", walk)
+    argv = ["spectrum", "--two-j", "4", "--p", "0.5", "--out", str(tmp_path / "out")]
+    assert main(argv + ([] if ms is None else ["--m", ms])) == 1
+    assert one_line_error(capsys) == f"error: eigenvector walk failed (two_j=4, M={first})\n"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("argv", [["spectrum", "--two-j", "6 8", "--p", "0 0.5"],

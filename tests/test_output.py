@@ -44,6 +44,40 @@ def test_svg_axis_without_spread_keeps_a_scale(tmp_path, x):
     assert [re.search(r'cx="([^"]*)"', t).group(1) for t in tags(path, "circle")] == ["48.00", "48.00"]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("argv,config,points,label", [
+    (["--two-j", "3", "--p", "0.5", "--m", "1 -1"], "h=1e308", 6, "Re(lambda)/j"),
+    (["--two-j", "1", "--p", "0"], "gamma0=1e308", 4, "Re(lambda)/(2j)"),
+], ids=["h", "gamma0"])
+def test_spectrum_plot_near_the_double_limit_has_finite_coordinates(tmp_path, argv, config, points, label):
+    # axis limits of +-1e308 used to be subtracted (h), and Re(lambda)/j = -1e308 / (1/2) used to
+    # overflow (gamma0): both wrote nan coordinates with RuntimeWarnings, errors here
+    from spinbath.cli import main
+
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config + "\n")
+    assert main(["spectrum", *argv, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    path = tmp_path / "out" / "spectrum.svg"
+    assert "nan" not in path.read_text()
+    coords = [float(v) for t in tags(path, "circle") for v in re.search(r'cx="([^"]*)" cy="([^"]*)"', t).groups()]
+    assert len(coords) == 2 * points and all(48 <= v <= 592 for v in coords)
+    assert f">{label}</text>" in path.read_text()
+
+
+@pytest.mark.parametrize("scale", [2.0**-40, 1.0, 3.0, 2.0**900, 2.0**1021])
+def test_svg_coordinates_do_not_depend_on_a_power_of_two(tmp_path, scale):
+    # the axis map divides by a power of two before it subtracts: data scaled by a power of two
+    # give the same coordinates, up to data spanning -1e308 .. 1e308 (at 2^1021)
+    def coordinates(factor):
+        groups = [(label, (np.asarray(xs) - 1.5) * factor, (np.asarray(ys) - 4.5) * factor)
+                  for label, xs, ys in GROUPS]
+        path = svg_scatter(str(tmp_path / f"{factor!r}.svg"), groups)
+        return [re.search(r'cx="([^"]*)" cy="([^"]*)"', t).groups() for t in tags(path, "circle")]
+
+    assert coordinates(scale) == coordinates(1.0)
+    assert coordinates(-scale) == [(f"{640 - float(x):.2f}", f"{480 - float(y):.2f}") for x, y in coordinates(1.0)]
+
+
 def test_svg_lines_one_polyline_per_group(tmp_path):
     path = svg_lines(str(tmp_path / "sub" / "l.svg"), GROUPS)
     lines = tags(path, "polyline")

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import sys
 import threading
@@ -587,6 +588,61 @@ def test_diagonalize_each_raises_failures_in_order(monkeypatch):
     assert done == [9, 11] and solved == [9, 11, 13]
     with pytest.raises(ValueError, match=r"must lie in \(0, 1\)"):
         next(sp.diagonalize_each(ops([8], broken=None), 1.0))
+
+
+def decomposition_bytes(dec):
+    """Every array of a decomposition as bytes: equal bytes are equal bits, signed zeros included."""
+    return [a.tobytes() for a in (dec.eigenvalues, dec.right_eigenvectors, dec.residual_norms,
+                                  sp.pair_distances(dec), dec.band_eigenvalues)] + [dec.operator_scale, dec.sector]
+
+
+@pytest.mark.parametrize("h,gamma0", [(0.0, 0.0), (1.0, 0.0), (-0.7, 0.0), (0.0, 0.3), (1.0, 0.3), (-0.7, 0.3)])
+def test_mirrored_sector_is_its_direct_solve_bitwise(h, gamma0):
+    # sector -M filled from the solve of sector M, in either direction, holds the bits of its own
+    # solve; at h = 0 the imaginary parts are +0, which np.conj of the partner would turn into -0
+    for p in (0.0, 0.5, -0.3, 0.99, 1.0, -1.0):
+        for two_j in (1, 2, 7, 40):
+            params = ModelParams(two_j=two_j, h=h, gamma0=gamma0, p=p)
+            for M in range(1, two_j + 1):
+                ops = {sector: build_sector(params, sector) for sector in (M, -M)}
+                direct = {sector: sp.diagonalize(op) for sector, op in ops.items()}
+                for solved, filled in ((M, -M), (-M, M)):
+                    mirrored = sp.diagonalize(ops[filled], _partner=(ops[solved], direct[solved]))
+                    assert decomposition_bytes(mirrored) == decomposition_bytes(direct[filled])
+                    assert not np.signbit(mirrored.eigenvalues.imag).any() or h != 0
+                    shared = (mirrored.right_eigenvectors, mirrored.residual_norms, mirrored.distances,
+                              mirrored.band_eigenvalues)
+                    assert not any(a.flags.writeable for a in shared)
+                    assert mirrored.eigenvalues.flags.writeable
+                    assert not np.shares_memory(mirrored.eigenvalues, direct[solved].eigenvalues)
+
+
+def test_mirror_guard_refuses_a_partner_that_is_not_the_conjugate_sector():
+    base = ModelParams(two_j=7, p=0.5, h=0.7, gamma0=0.3)
+    op = build_sector(base, -3)
+    partner = build_sector(base, 3)
+    dec = sp.diagonalize(partner)
+    assert sp.diagonalize(op, _partner=(partner, dec)).sector.M == -3
+    for other, why in (
+        (build_sector(dataclasses.replace(base, p=0.4), 3), "has other bands"),
+        (build_sector(base, 2), "has other bands"),
+        (build_sector(base, -3), "is not the conjugate"),
+        (build_sector(dataclasses.replace(base, h=0.8), 3), "is not the conjugate"),
+        (build_sector(dataclasses.replace(base, gamma0=0.2), 3), "is not the conjugate"),
+    ):
+        with pytest.raises(ValueError, match=why):
+            sp.diagonalize(op, _partner=(other, sp.diagonalize(other)))
+    # the decomposition must be the partner's own full solve
+    with pytest.raises(ValueError, match="not its full solve"):
+        sp.diagonalize(op, _partner=(partner, sp.diagonalize(build_sector(base, 2))))
+    wide = build_sector(ModelParams(two_j=320, p=0.5), -2)
+    wide_partner = build_sector(ModelParams(two_j=320, p=0.5), 2)
+    bounded = sp.diagonalize(wide_partner, 1e-4)
+    assert bounded.right_eigenvectors.shape[1] < bounded.dim
+    with pytest.raises(ValueError, match="not its full solve"):
+        sp.diagonalize(wide, _partner=(wide_partner, bounded))
+    with pytest.raises(ValueError, match="takes no bound"):
+        sp.diagonalize(op, 1e-4, _partner=(partner, dec))
 
 
 def test_structured_matches_qr_at_small_j():
