@@ -179,13 +179,19 @@ def build_bruteforce(params: ModelParams) -> FullLiouvillian:
     Independent of the sector builder; serves as its oracle at small j.
     """
     H, jumps = _master_operators(params)
-    eye = np.eye(params.hilbert_dim)
-    S = -1j * (np.kron(H, eye) - np.kron(eye, H.T))
+    N = params.hilbert_dim
+
+    def kron(A, B):
+        # np.kron(A, B): the same one product per entry, without np.kron's per-call overhead
+        return (A[:, None, :, None] * B[None, :, None, :]).reshape(N * N, N * N)
+
+    eye = np.eye(N)
+    S = -1j * (kron(H, eye) - kron(eye, H.T))
     for L in jumps:
         LdL = L.conj().T @ L
-        S += np.kron(L, L.conj())
-        S -= 0.5 * np.kron(LdL, eye)
-        S -= 0.5 * np.kron(eye, LdL.T)
+        S += kron(L, L.conj())
+        S -= 0.5 * kron(LdL, eye)
+        S -= 0.5 * kron(eye, LdL.T)
     return FullLiouvillian(params=params, matrix=S)
 
 

@@ -808,6 +808,26 @@ def test_bruteforce_oracle_sees_coupled_sectors(monkeypatch):
     assert result.measured <= 1e-10
 
 
+def test_bruteforce_oracle_measures_each_block_alone():
+    # the blocks solved as stacks of one size give the worst case of one eigvals call per block
+    import spinbath.verification as verification
+
+    worst = 0.0
+    for two_j in (2, 3, 4):
+        for p in (-1.0, -0.5, 0.0, 0.5, 1.0):
+            for g0 in (0.0, 0.7):
+                params = ModelParams(two_j=two_j, h=1.0, gamma=1.0, gamma0=g0, p=p)
+                full = build_bruteforce(params)
+                for M in range(-two_j, two_j + 1):
+                    idx = full.sector_indices(M)
+                    w = verification.sp.eigenvalues_only(build_sector(params, M))
+                    brute = np.linalg.eigvals(full.matrix[np.ix_(idx, idx)])
+                    worst = max(worst, verification.multiset_match_error(brute, w))
+    result = verification.check_bruteforce_oracle()
+    assert result.passed
+    assert result.measured == worst
+
+
 def test_verify_catches_mutated_builder(capsys, monkeypatch):
     # a corrupted sector builder must trip the oracle checks: wrong bands, or only a wrong shift;
     # a sign-flipped shift swaps the spectra of M and -M, which only a per-sector comparison sees

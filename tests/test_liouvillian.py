@@ -121,6 +121,25 @@ def test_bruteforce_block_is_the_full_matrix_block_bitwise(two_j):
                 assert bruteforce_block(params, M).tobytes() == full.matrix[np.ix_(idx, idx)].tobytes()
 
 
+@pytest.mark.parametrize("two_j", [1, 4, 9])
+def test_bruteforce_matrix_is_the_kron_sum_bitwise(two_j):
+    # the dense Liouvillian holds the bits of the Kronecker sum written with np.kron
+    from spinbath.liouvillian import _master_operators
+
+    for p in (-1.0, -0.35, 0.0, 1.0):
+        for h, gamma0 in ((1.0, 0.0), (-0.7, 0.3), (0.0, 1.0)):
+            params = ModelParams(two_j=two_j, h=h, gamma=1.3, gamma0=gamma0, p=p)
+            H, jumps = _master_operators(params)
+            eye = np.eye(params.hilbert_dim)
+            S = -1j * (np.kron(H, eye) - np.kron(eye, H.T))
+            for L in jumps:
+                LdL = L.conj().T @ L
+                S += np.kron(L, L.conj())
+                S -= 0.5 * np.kron(LdL, eye)
+                S -= 0.5 * np.kron(eye, LdL.T)
+            assert build_bruteforce(params).matrix.tobytes() == S.tobytes()
+
+
 def test_bruteforce_block_size_guard():
     with pytest.raises(ValueError, match="hilbert_dim"):
         bruteforce_block(ModelParams(two_j=BRUTEFORCE_MAX_HILBERT_DIM), 0)
